@@ -12,6 +12,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from typing import Dict, Optional
 
@@ -34,16 +35,18 @@ def write_bench_json(filename: str, payload: Dict[str, object],
     ``payload`` is augmented with a reproducibility header (timestamp,
     interpreter, platform, CPU count, quick-mode flag) so a perf trajectory
     assembled from successive artifacts can normalize across environments.
-    The directory defaults to the current working directory, overridable via
-    :data:`BENCH_JSON_DIR_ENV_VAR`.
+    The directory defaults to a ``kh-core-bench`` folder under the system
+    temp dir, so a plain ``pytest`` run never rewrites the committed
+    ``BENCH_PR*.json`` files; :data:`BENCH_JSON_DIR_ENV_VAR` overrides it.
 
     Repeated calls for the same file *merge* top-level keys instead of
     overwriting, so several benchmark tests can contribute sections to one
     artifact regardless of execution order.
     """
-    directory = (directory
-                 or os.environ.get(BENCH_JSON_DIR_ENV_VAR)
-                 or os.getcwd())
+    directory = directory or os.environ.get(BENCH_JSON_DIR_ENV_VAR)
+    if not directory:
+        directory = os.path.join(tempfile.gettempdir(), "kh-core-bench")
+        os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, filename)
     record: Dict[str, object] = {}
     if os.path.exists(path):

@@ -83,7 +83,7 @@ def _bulk_seconds(engine, executor, workers, repeats=3):
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        engine.bulk_h_degrees(SPEEDUP_H, num_threads=workers,
+        engine.bulk_h_degrees(SPEEDUP_H, num_workers=workers,
                               executor=executor)
         best = min(best, time.perf_counter() - start)
     return best
@@ -105,11 +105,11 @@ def test_process_pool_beats_serial_bulk_pass():
 
         # Warm the pool and the shared-memory export before timing.
         engine.bulk_h_degrees(SPEEDUP_H, targets=range(16),
-                              num_threads=SPEEDUP_WORKERS,
+                              num_workers=SPEEDUP_WORKERS,
                               executor="process")
         process_seconds = _bulk_seconds(engine, "process", SPEEDUP_WORKERS)
         process_result = engine.bulk_h_degrees(
-            SPEEDUP_H, num_threads=SPEEDUP_WORKERS, executor="process")
+            SPEEDUP_H, num_workers=SPEEDUP_WORKERS, executor="process")
     finally:
         engine.close()
 
@@ -143,7 +143,7 @@ def test_thread_pool_documents_gil_ceiling():
         durations = []
         for _ in range(3):
             start = time.perf_counter()
-            threaded = engine.bulk_h_degrees(2, num_threads=4,
+            threaded = engine.bulk_h_degrees(2, num_workers=4,
                                              executor="thread")
             durations.append(time.perf_counter() - start)
         assert threaded == serial

@@ -8,9 +8,8 @@ assuming, recorded in ``BENCH_PR10.json`` (via
    dispatch through :class:`~repro.resilience.SupervisedExecutor`
    (deadline tracking, retry bookkeeping, result buffering) must cost at
    most ``MAX_OVERHEAD_RATIO`` over the raw shared-memory pool.  Both
-   sides run the identical chunk plan against a warm pool; the toggle is
-   ``KH_CORE_SUPERVISED``, which the engine honours by rebuilding its
-   cached pool on the next dispatch.
+   executors are built directly and run the identical chunk plan — same
+   CSR snapshot, same targets, same weights — against a warm pool.
 2. **One-kill completion** — a worker SIGKILLed mid-decomposition
    (``worker.kill=1``: exactly one kill, first dispatch) must finish with
    a bit-identical result in at most ``MAX_KILL_SLOWDOWN``× the
@@ -22,6 +21,9 @@ Set ``KH_CORE_BENCH_QUICK=1`` (the CI smoke mode) to shrink the graph and
 relax the bars: at small n the fixed per-dispatch costs dominate the work
 being supervised, and shared CI runners add wall-clock noise.  The strict
 ratios are enforced in the full-size run.
+
+Both tests assert wall-clock ratios, so they carry the ``bench`` marker:
+the default pytest run deselects them; run them with ``-m bench``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ import pytest
 
 from repro.core import core_decomposition
 from repro.graph import generators as gen
-from repro.resilience import armed
+from repro.graph.csr import CSRGraph
+from repro.parallel import SharedMemoryExecutor
+from repro.resilience import SupervisedExecutor, armed
 from repro.runtime import ExecutionContext
 
 from bench_utils import write_bench_json  # noqa: E402
@@ -86,23 +90,27 @@ def _best_of(fn, reps):
     return best, result
 
 
-def test_supervision_overhead_without_faults(monkeypatch):
+@pytest.mark.bench
+def test_supervision_overhead_without_faults():
     """Supervised vs raw pool on the identical warm bulk-pass workload."""
     _xdist_guard()
     graph = _bench_graph()
     max_ratio = MAX_OVERHEAD_RATIO_QUICK if QUICK else MAX_OVERHEAD_RATIO
+    csr = CSRGraph.from_graph(graph)
+    targets = list(range(csr.num_vertices))
+    indptr = csr.indptr
+    weights = [indptr[i + 1] - indptr[i] for i in targets]
 
-    with ExecutionContext(graph, backend="csr", executor="process",
-                          num_workers=2) as context:
-        def measure(supervised):
-            monkeypatch.setenv("KH_CORE_SUPERVISED",
-                               "1" if supervised else "0")
-            context.bulk_h_degrees(H)  # rebuild + warm the pool
-            return _best_of(lambda: context.bulk_h_degrees(H),
-                            OVERHEAD_REPS)
+    def measure(executor):
+        def dispatch():
+            return executor.bulk_h_degrees(csr, H, targets, weights=weights)
 
-        raw_seconds, raw_degrees = measure(supervised=False)
-        supervised_seconds, supervised_degrees = measure(supervised=True)
+        with executor:
+            dispatch()  # spawn + warm the pool, export the snapshot
+            return _best_of(dispatch, OVERHEAD_REPS)
+
+    raw_seconds, raw_degrees = measure(SharedMemoryExecutor(2))
+    supervised_seconds, supervised_degrees = measure(SupervisedExecutor(2))
 
     assert supervised_degrees == raw_degrees
     ratio = supervised_seconds / raw_seconds
@@ -121,6 +129,7 @@ def test_supervision_overhead_without_faults(monkeypatch):
         f"(bar {max_ratio}x)")
 
 
+@pytest.mark.bench
 def test_one_kill_completes_within_budget():
     """SIGKILL one worker mid-run: bounded recovery, identical output."""
     _xdist_guard()

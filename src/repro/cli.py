@@ -71,7 +71,7 @@ from repro.errors import ReproError
 from repro.graph import Graph, read_edge_list
 from repro.graph.generators import relaxed_caveman_graph
 from repro.graph.storage import BLOCK_SUFFIX
-from repro.runtime import ExecutionContext, resolve_worker_count
+from repro.runtime import ExecutionContext
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: the system temp dir)")
     parser.add_argument("--partition-size", type=int, default=1,
                         help="partition size S for h-LB+UB (default: 1)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="deprecated legacy alias for --workers")
     parser.add_argument("--workers", type=int, default=None,
                         help="workers for the bulk h-degree passes "
                              "(default: 1)")
@@ -434,13 +432,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         graph = _load_graph(args)
         backend = resolved_backend_name(graph, args.backend,
                                         csr_threshold=args.csr_threshold)
-        # One shared shim handles the legacy spelling (--threads) exactly
-        # like the library handles num_threads=.
-        workers = resolve_worker_count(args.workers, args.threads,
-                                       old="--threads", new="--workers")
         with ExecutionContext(graph, backend=backend,
                               executor=args.executor,
-                              num_workers=workers,
+                              num_workers=args.workers,
                               csr_threshold=args.csr_threshold,
                               relabel=args.relabel,
                               storage=args.storage,
@@ -459,8 +453,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"# algorithm: {result.algorithm}, h = {args.h}", file=sys.stderr)
     if args.verbose:
         print(f"# backend: {backend} (requested: {args.backend})", file=sys.stderr)
-        print(f"# executor: {args.executor}, workers: {workers}",
-              file=sys.stderr)
+        print(f"# executor: {args.executor}, "
+              f"workers: {report.params['num_workers']}", file=sys.stderr)
         if resilience is not None:
             print(f"# resilience: {resilience.summary()}", file=sys.stderr)
     print(f"# time: {report.seconds:.3f}s, h-BFS visits: {report.visits}", file=sys.stderr)

@@ -58,9 +58,9 @@ from repro.graph.csr import (
 )
 from repro.graph.graph import Graph, Vertex
 from repro.graph.views import FrozenGraphView
+from repro.core.parallel import _validate_executor, map_batches
 from repro.instrumentation import Counters, NULL_COUNTERS
 from repro.resilience.policies import ResilienceReport
-from repro.runtime.workers import resolve_worker_count
 from repro.traversal.array_bfs import AliveMask, ArrayBFS
 from repro.traversal.bfs import h_bounded_neighbors
 from repro.traversal.hneighborhood import h_degree as _dict_h_degree
@@ -203,27 +203,56 @@ class DictEngine:
                                         counters=counters).items())
 
     def bulk_h_degrees(self, h: int, targets=None, alive=None,
-                       num_threads: Optional[int] = None,
                        counters: Counters = NULL_COUNTERS,
                        executor: str = "thread",
                        num_workers: Optional[int] = None) -> Dict[Vertex, int]:
-        from repro.core.parallel import compute_h_degrees
-        workers = resolve_worker_count(num_workers, num_threads)
-        backend: object = "dict"
+        """h-degree of every target vertex, optionally across a worker pool.
+
+        One dict-of-sets BFS kernel serves the serial and thread
+        executors through :func:`~repro.core.parallel.map_batches`; each
+        batch records into a private :class:`Counters`, merged at the end.  ``executor="process"`` needs flat arrays to share, so
+        it promotes to a cached :class:`CSREngine` delegate — built once,
+        refreshed when the graph moves, and reused (with its worker pool)
+        across this engine's bulk passes instead of paying a pool spin-up
+        per pass.
+        """
+        _validate_executor(executor)
+        workers = 1 if num_workers is None else num_workers
         if executor == "process" and workers > 1:
-            # Process dispatch needs a CSR snapshot; cache one engine (and
-            # its worker pool) across this engine's bulk passes instead of
-            # paying a pool spin-up per pass.  A frozen view already carries
-            # its snapshot — reuse it instead of re-expanding the graph.
-            if self._process_delegate is None:
-                self._process_delegate = CSREngine(
+            delegate = self._process_delegate
+            if delegate is None:
+                # A frozen view already carries its snapshot — reuse it
+                # instead of re-expanding the graph.
+                delegate = self._process_delegate = CSREngine(
                     self.graph, csr=getattr(self.graph, "csr", None))
-            elif self._process_delegate.built_version != self.graph.version:
-                self._process_delegate.refresh(None)
-            backend = self._process_delegate
-        return compute_h_degrees(self.graph, h, vertices=targets, alive=alive,
-                                 num_workers=workers, counters=counters,
-                                 backend=backend, executor=executor)
+            else:
+                delegate.refresh(None)
+            handle_of = delegate.handle_of
+            degrees = delegate.bulk_h_degrees(
+                h,
+                targets=None if targets is None else
+                [handle_of(v) for v in targets],
+                alive=None if alive is None else
+                delegate.alive_subset(handle_of(v) for v in alive),
+                num_workers=workers, counters=counters, executor=executor)
+            return delegate.to_labels(degrees)
+
+        if targets is None:
+            targets = alive if alive is not None else self.graph.vertices()
+        graph = self.graph
+
+        def worker(batch, local: Counters) -> Dict[Vertex, int]:
+            out: Dict[Vertex, int] = {}
+            for v in batch:
+                out[v] = _dict_h_degree(graph, v, h, alive=alive,
+                                        counters=local)
+                local.count_hdegree()
+            return out
+
+        # One worker (or executor="serial") runs the batch inline.
+        return map_batches(list(targets),
+                           1 if executor == "serial" else workers,
+                           worker, counters)
 
 
 class CSREngine:
@@ -356,39 +385,25 @@ class CSREngine:
 
     def _process_pool(self, num_workers: int,
                       start_method: Optional[str] = None):
-        """Return the persistent shared-memory executor, (re)building it
-        when the requested worker count (or supervision mode) changes.
+        """Return the persistent supervised executor, (re)building it when
+        the requested worker count changes or the cached pool was closed.
 
-        By default the raw executor is wrapped in a
-        :class:`~repro.resilience.supervisor.SupervisedExecutor` sharing
-        this engine's :class:`ResilienceReport`; ``KH_CORE_SUPERVISED=0``
-        selects the unsupervised executor (benchmarks measure the
-        supervision overhead against it).
+        The pool is a :class:`~repro.resilience.supervisor.SupervisedExecutor`
+        sharing this engine's :class:`ResilienceReport`.
         """
-        from repro.parallel.pool import SharedMemoryExecutor
-        from repro.resilience.supervisor import (
-            SupervisedExecutor,
-            supervision_enabled,
-        )
-        supervised = supervision_enabled()
+        from repro.resilience.supervisor import SupervisedExecutor
+
         pool = self._shm_pool
-        if pool is not None and (
-                pool.closed
-                or pool.num_workers != num_workers
-                or isinstance(pool, SupervisedExecutor) != supervised):
+        if pool is not None and (pool.closed
+                                 or pool.num_workers != num_workers):
             # A failed dispatch tears its executor down; discard it here so
             # the next process request recovers with a fresh pool instead
             # of erroring forever on the cached corpse.
             pool.close()
             pool = None
         if pool is None:
-            if supervised:
-                pool = SupervisedExecutor(num_workers,
-                                          start_method=start_method,
-                                          report=self.resilience)
-            else:
-                pool = SharedMemoryExecutor(num_workers,
-                                            start_method=start_method)
+            pool = SupervisedExecutor(num_workers, start_method=start_method,
+                                      report=self.resilience)
             self._shm_pool = pool
         return pool
 
@@ -446,7 +461,6 @@ class CSREngine:
 
     def bulk_h_degrees(self, h: int, targets=None,
                        alive: Optional[AliveMask] = None,
-                       num_threads: Optional[int] = None,
                        counters: Counters = NULL_COUNTERS,
                        executor: str = "thread",
                        num_workers: Optional[int] = None) -> Dict[int, int]:
@@ -454,15 +468,15 @@ class CSREngine:
 
         ``executor`` selects the scheduler (see
         :data:`repro.core.parallel.EXECUTORS`).  The thread path mirrors
-        :func:`repro.core.parallel.compute_h_degrees`: each worker owns a
+        :meth:`DictEngine.bulk_h_degrees`: each worker owns a
         private :class:`ArrayBFS` scratch (the shared one is not
         thread-safe) and a private :class:`Counters`, merged at the end.
         The process path exports the CSR arrays into shared memory once per
         snapshot generation and fans degree-weighted chunks out to a
-        persistent worker pool (:mod:`repro.parallel`) — the only executor
-        that scales on CPython.
+        persistent, always-supervised worker pool (:mod:`repro.parallel`,
+        :mod:`repro.resilience`) — the only executor that scales on CPython.
 
-        The dispatch (executor validation, worker resolution, target
+        The dispatch (executor validation, worker default, target
         defaulting, degree-weighted process fan-out) lives here exactly
         once; the serial and per-thread *kernels* are the
         :meth:`_bulk_serial` / :meth:`_bulk_worker_batch` hooks the
@@ -470,9 +484,8 @@ class CSREngine:
         the shared-memory task descriptors so workers run the matching
         kernel.
         """
-        from repro.core.parallel import _validate_executor
         _validate_executor(executor)
-        workers = resolve_worker_count(num_workers, num_threads)
+        workers = 1 if num_workers is None else num_workers
         if targets is None:
             targets = alive if alive is not None else range(self.csr.num_vertices)
         indices = list(targets)
@@ -488,9 +501,7 @@ class CSREngine:
             except (WorkerPoolError, DeadlineExceededError):
                 # First rung of the degradation ladder: the supervised pool
                 # exhausted its retry/rebuild budget, so finish this pass
-                # (and run subsequent ones) on threads.  Only the
-                # supervisor raises these, so an unsupervised executor
-                # keeps its historical fail-fast contract.
+                # on threads.
                 self.resilience.record_downgrade("process", "thread")
                 if counters is not NULL_COUNTERS:
                     counters.bump("resilience.downgrades")
@@ -498,8 +509,6 @@ class CSREngine:
 
         if workers <= 1 or len(indices) < 2 or executor == "serial":
             return self._bulk_serial(indices, h, alive, counters)
-
-        from repro.core.parallel import map_batches
 
         def worker(batch, local: Counters) -> Dict[int, int]:
             return self._bulk_worker_batch(batch, h, alive, local)

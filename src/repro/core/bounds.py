@@ -32,7 +32,6 @@ from repro.graph.graph import Graph, Vertex
 from repro.core.backends import CSREngine, DictEngine, Engine
 from repro.instrumentation import Counters, NULL_COUNTERS
 from repro.runtime.peel import ArrayPeelState, make_peel_state
-from repro.runtime.workers import resolve_worker_count
 
 Handle = Hashable
 
@@ -114,17 +113,15 @@ def engine_upper_bound(engine: Engine, h: int,
                        counters: Counters = NULL_COUNTERS,
                        num_workers: Optional[int] = None,
                        executor: str = "thread",
-                       num_threads: Optional[int] = None,
                        peel: str = "auto") -> Dict[Handle, int]:
     """``UB(v)`` per handle: classic core index in the implicit h-power graph."""
     _validate_h(h)
-    workers = resolve_worker_count(num_workers, num_threads)
     handles = list(engine.nodes())
     if not handles:
         return {}
     if initial_h_degrees is None:
         initial_h_degrees = engine.bulk_h_degrees(h, targets=handles,
-                                                  num_workers=workers,
+                                                  num_workers=num_workers,
                                                   counters=counters,
                                                   executor=executor)
     state = make_peel_state(engine, counters, peel=peel)
@@ -216,8 +213,7 @@ def upper_bound(graph: Graph, h: int,
                 initial_h_degrees: Optional[Dict[Vertex, int]] = None,
                 counters: Counters = NULL_COUNTERS,
                 num_workers: Optional[int] = None,
-                executor: str = "thread",
-                num_threads: Optional[int] = None) -> Dict[Vertex, int]:
+                executor: str = "thread") -> Dict[Vertex, int]:
     """Return ``UB(v)``: the classic core index of ``v`` in the h-power graph.
 
     Implements Algorithm 5.  The power graph is kept implicit: when a vertex
@@ -236,7 +232,7 @@ def upper_bound(graph: Graph, h: int,
     return engine_upper_bound(DictEngine(graph), h,
                               initial_h_degrees=initial_h_degrees,
                               counters=counters, num_workers=num_workers,
-                              executor=executor, num_threads=num_threads)
+                              executor=executor)
 
 
 # --------------------------------------------------------------------- #
@@ -246,8 +242,7 @@ def engine_improve_lb(engine: Engine, h: int, candidate: Iterable[Handle],
                       k: int,
                       counters: Counters = NULL_COUNTERS,
                       num_workers: Optional[int] = None,
-                      executor: str = "thread",
-                      num_threads: Optional[int] = None):
+                      executor: str = "thread"):
     """Clean ``candidate`` = V[k]; return ``(alive set, min h-degree)``.
 
     The returned alive set uses the engine's native alive type (a Python
@@ -255,12 +250,11 @@ def engine_improve_lb(engine: Engine, h: int, candidate: Iterable[Handle],
     for CSR) so the caller can hand it straight to :func:`core_decomp`.
     """
     _validate_h(h)
-    workers = resolve_worker_count(num_workers, num_threads)
     alive = engine.alive_subset(candidate)
     if not alive:
         return alive, 0
     degrees = engine.bulk_h_degrees(h, targets=alive, alive=alive,
-                                    num_workers=workers, counters=counters,
+                                    num_workers=num_workers, counters=counters,
                                     executor=executor)
     min_degree = min(degrees.values())
     pending = {v for v, d in degrees.items() if d < k}
@@ -282,8 +276,7 @@ def engine_improve_lb(engine: Engine, h: int, candidate: Iterable[Handle],
 def improve_lb(graph: Graph, h: int, candidate: Set[Vertex], k: int,
                counters: Counters = NULL_COUNTERS,
                num_workers: Optional[int] = None,
-               executor: str = "thread",
-               num_threads: Optional[int] = None) -> Tuple[Set[Vertex], int]:
+               executor: str = "thread") -> Tuple[Set[Vertex], int]:
     """Clean ``candidate`` = V[k] and return ``(surviving vertices, min h-degree)``.
 
     Implements Algorithm 6.  The minimum h-degree over the candidate set is a
@@ -295,4 +288,4 @@ def improve_lb(graph: Graph, h: int, candidate: Set[Vertex], k: int,
     """
     return engine_improve_lb(DictEngine(graph), h, candidate, k,
                              counters=counters, num_workers=num_workers,
-                             executor=executor, num_threads=num_threads)
+                             executor=executor)

@@ -29,7 +29,6 @@ from repro.core.naive import naive_core_decomposition
 from repro.core.result import CoreDecomposition
 from repro.instrumentation import Counters, NULL_COUNTERS, RunReport, Timer
 from repro.runtime.context import ExecutionContext, scoped_context
-from repro.runtime.workers import resolve_worker_count
 
 #: Algorithms accepted by :func:`core_decomposition`.
 ALGORITHMS = ("auto", "classic", "naive", "h-BZ", "h-LB", "h-LB+UB")
@@ -42,7 +41,6 @@ _AUTO_SIZE_THRESHOLD = 2000
 def core_decomposition(graph: Graph, h: int,
                        algorithm: str = "auto",
                        partition_size: int = 1,
-                       num_threads: Optional[int] = None,
                        counters: Optional[Counters] = None,
                        backend: Union[str, Engine] = "auto",
                        executor: str = "thread",
@@ -64,9 +62,7 @@ def core_decomposition(graph: Graph, h: int,
     partition_size:
         Parameter ``S`` of h-LB+UB (ignored by the other algorithms).
     num_workers:
-        Worker count for the bulk h-degree computations (§4.6);
-        ``num_threads`` is the deprecated legacy spelling and loses when
-        both are given.
+        Worker count for the bulk h-degree computations (§4.6; default 1).
     counters:
         Optional instrumentation sink filled with visit/recompute counts.
     executor:
@@ -143,8 +139,7 @@ def core_decomposition(graph: Graph, h: int,
     # returning.  Callers who want to amortize engine or pool across
     # decompositions pass a long-lived context (or a pre-built engine).
     with scoped_context(graph, context, backend=backend, executor=executor,
-                        num_workers=num_workers, num_threads=num_threads,
-                        counters=sink) as ctx:
+                        num_workers=num_workers, counters=sink) as ctx:
         if algorithm == "h-BZ":
             return h_bz(graph, h, counters=sink, context=ctx)
         if algorithm == "h-LB":
@@ -157,7 +152,6 @@ def core_decomposition_with_report(graph: Graph, h: int,
                                    algorithm: str = "auto",
                                    dataset_name: str = "graph",
                                    partition_size: int = 1,
-                                   num_threads: Optional[int] = None,
                                    backend: Union[str, Engine] = "auto",
                                    executor: str = "thread",
                                    num_workers: Optional[int] = None,
@@ -165,26 +159,19 @@ def core_decomposition_with_report(graph: Graph, h: int,
                                    ) -> RunReport:
     """Run :func:`core_decomposition` and return a timed, counted report.
 
-    The experiment harness (Tables 3 and 5) is built on this wrapper.
+    The experiment harness (Tables 3 and 5) is built on this wrapper.  The
+    call runs under one execution context, and ``params`` records the
+    backend, executor and worker count that context actually used (so a
+    ``backend="auto"`` request reports the engine it resolved to).
     """
     counters = Counters()
-    if context is not None:
-        workers = context.num_workers
-        executor_name = context.executor
-        backend_name = context.backend_name
-    else:
-        workers = resolve_worker_count(num_workers, num_threads)
-        executor_name = executor
-        backend_name = backend if isinstance(backend, str) else backend.name
     timer = Timer()
-    with timer:
+    with timer, scoped_context(graph, context, backend=backend,
+                               executor=executor, num_workers=num_workers,
+                               counters=counters) as ctx:
         result = core_decomposition(graph, h, algorithm=algorithm,
                                     partition_size=partition_size,
-                                    num_workers=workers,
-                                    counters=counters,
-                                    backend=backend,
-                                    executor=executor,
-                                    context=context)
+                                    counters=counters, context=ctx)
     return RunReport(
         algorithm=result.algorithm,
         dataset=dataset_name,
@@ -192,7 +179,8 @@ def core_decomposition_with_report(graph: Graph, h: int,
         seconds=timer.elapsed,
         counters=counters,
         result=result,
-        params={"partition_size": partition_size, "num_workers": workers,
-                "executor": executor_name,
-                "backend": backend_name},
+        params={"partition_size": partition_size,
+                "num_workers": ctx.num_workers,
+                "executor": ctx.executor,
+                "backend": ctx.backend_name},
     )

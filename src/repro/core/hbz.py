@@ -25,7 +25,6 @@ from repro.runtime.context import ExecutionContext, scoped_context
 
 def h_bz(graph: Graph, h: int,
          counters: Counters = NULL_COUNTERS,
-         num_threads: Optional[int] = None,
          backend: Union[str, Engine] = "dict",
          executor: str = "thread",
          num_workers: Optional[int] = None,
@@ -44,7 +43,6 @@ def h_bz(graph: Graph, h: int,
         Instrumentation sink (visits, h-degree recomputations, bucket moves).
     num_workers:
         Workers used for the initial h-degree computation (§4.6).
-        ``num_threads`` is the deprecated legacy spelling.
     backend:
         ``"dict"`` (reference), ``"csr"`` (array backend), ``"auto"``, or a
         pre-built engine.  Both backends produce identical core numbers.
@@ -65,7 +63,7 @@ def h_bz(graph: Graph, h: int,
         raise InvalidDistanceThresholdError(h)
 
     with scoped_context(graph, context, backend=backend, executor=executor,
-                        num_workers=num_workers, num_threads=num_threads,
+                        num_workers=num_workers,
                         counters=counters) as ctx:
         sink = ctx.sink(counters)
         engine = ctx.engine

@@ -23,7 +23,6 @@ from repro.runtime.context import ExecutionContext, scoped_context
 
 def h_lb(graph: Graph, h: int,
          counters: Counters = NULL_COUNTERS,
-         num_threads: Optional[int] = None,
          use_lb1_only: bool = False,
          backend: Union[str, Engine] = "dict",
          executor: str = "thread",
@@ -41,8 +40,7 @@ def h_lb(graph: Graph, h: int,
         Instrumentation sink.
     num_workers:
         Workers for the initial bound computation (kept for API symmetry; the
-        LB1/LB2 pass is cheap compared to the peeling).  ``num_threads`` is
-        the deprecated legacy spelling.
+        LB1/LB2 pass is cheap compared to the peeling).
     executor:
         Scheduler name, kept for API symmetry with h-BZ and h-LB+UB (h-LB
         has no bulk h-degree pass: LB1 for h in {2, 3} is the plain degree
@@ -66,7 +64,7 @@ def h_lb(graph: Graph, h: int,
         raise InvalidDistanceThresholdError(h)
 
     with scoped_context(graph, context, backend=backend, executor=executor,
-                        num_workers=num_workers, num_threads=num_threads,
+                        num_workers=num_workers,
                         counters=counters) as ctx:
         sink = ctx.sink(counters)
         engine = ctx.engine

@@ -73,7 +73,6 @@ def build_partitions(upper_bounds: Dict[Vertex, int], min_lower_bound: int,
 def h_lb_ub(graph: Graph, h: int,
             partition_size: int = 1,
             counters: Counters = NULL_COUNTERS,
-            num_threads: Optional[int] = None,
             use_hdegree_as_upper_bound: bool = False,
             precomputed_upper_bound: Optional[Dict[Vertex, int]] = None,
             backend: Union[str, Engine] = "dict",
@@ -96,7 +95,6 @@ def h_lb_ub(graph: Graph, h: int,
         Instrumentation sink.
     num_workers:
         Workers used for the bulk h-degree computations (§4.6).
-        ``num_threads`` is the deprecated legacy spelling.
     executor:
         Scheduler for the bulk h-degree passes (the initial pass, the upper
         bound's seeding pass, and each partition's ``ImproveLB`` pass):
@@ -126,7 +124,7 @@ def h_lb_ub(graph: Graph, h: int,
         raise InvalidDistanceThresholdError(h)
 
     with scoped_context(graph, context, backend=backend, executor=executor,
-                        num_workers=num_workers, num_threads=num_threads,
+                        num_workers=num_workers,
                         counters=counters) as ctx:
         sink = ctx.sink(counters)
         engine = ctx.engine

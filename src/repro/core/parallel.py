@@ -13,9 +13,7 @@ scheduler-agnostic dispatch for that fan-out:
 * ``executor="process"`` — real cores.  The hot path
   (:meth:`repro.core.backends.CSREngine.bulk_h_degrees`) routes through the
   shared-memory engine in :mod:`repro.parallel` (CSR arrays exported once,
-  persistent worker pool, no graph pickling per task);
-  :func:`map_batches` additionally offers a generic process mode for
-  arbitrary *picklable* workers, used by tests and one-off callers.
+  persistent worker pool, no graph pickling per task).
 
 Chunking is exact and optionally weight-balanced (:func:`chunk_plan`): with
 per-item weights (typically vertex degrees) chunks are packed
@@ -26,14 +24,12 @@ distributions from serializing the pass behind one heavy chunk.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ParameterError
 from repro.graph.graph import Graph, Vertex
 from repro.instrumentation import Counters, NULL_COUNTERS
-from repro.runtime.workers import resolve_worker_count
-from repro.traversal.hneighborhood import h_degree
 
 #: Executor names accepted by the decomposition entry points.
 EXECUTORS = ("serial", "thread", "process")
@@ -104,43 +100,27 @@ def chunk_plan(items: Sequence, num_chunks: int,
     return [chunk for chunk in chunks if chunk]
 
 
-def _run_batch_in_process(worker, batch) -> Tuple[Dict, Counters]:
-    """Top-level trampoline for the generic process mode of map_batches.
-
-    Runs in the worker process: gives ``worker`` a private :class:`Counters`
-    (cross-process mutation of the caller's object is impossible) and ships
-    both the batch result and the counters back for merging.
-    """
-    local = Counters()
-    return worker(batch, local), local
-
-
 def map_batches(targets: Sequence, num_workers: int, worker,
                 counters: Counters = NULL_COUNTERS,
-                executor: str = "thread",
                 weights: Optional[Sequence[int]] = None) -> Dict:
-    """Fan ``targets`` out over an executor and merge the per-batch dicts.
+    """Fan ``targets`` out over a thread pool and merge the per-batch dicts.
 
     ``worker(batch, local_counters)`` must return a dict for its batch and
     record instrumentation only into its private ``local_counters``; the
     locals are merged into ``counters`` after all workers finish, so the
-    reported totals are identical to a sequential run.
+    reported totals are identical to a sequential run.  With
+    ``num_workers <= 1`` (or fewer than two targets) the whole target list
+    runs inline as one batch.
 
-    ``executor`` selects the scheduler: ``"serial"`` (one inline batch),
-    ``"thread"`` (the in-process pool; closures welcome) or ``"process"``
-    (a one-shot :class:`~concurrent.futures.ProcessPoolExecutor`; ``worker``
-    must then be picklable — a module-level function or a
-    :func:`functools.partial` over one).  The decomposition hot path does
-    **not** use the generic process mode: pickling a closure over the graph
-    per batch is exactly what the shared-memory engine
-    (:class:`repro.parallel.SharedMemoryExecutor`, reached through
-    :meth:`repro.core.backends.CSREngine.bulk_h_degrees`) exists to avoid.
+    This is the thread fan-out of the engines' ``bulk_h_degrees``; the
+    process executor never comes through here — it runs on the
+    shared-memory pool (:class:`repro.parallel.SharedMemoryExecutor`),
+    which avoids pickling the graph per batch.
 
     ``weights`` (optional, one per target) activates balanced chunking for
     skewed workloads — see :func:`chunk_plan`.
     """
-    _validate_executor(executor)
-    if executor == "serial" or num_workers <= 1 or len(targets) < 2:
+    if num_workers <= 1 or len(targets) < 2:
         local = Counters()
         merged = dict(worker(targets, local))
         if counters is not NULL_COUNTERS:
@@ -149,17 +129,6 @@ def map_batches(targets: Sequence, num_workers: int, worker,
 
     batches = chunk_plan(targets, num_workers, weights=weights)
     merged = {}
-    if executor == "process":
-        with ProcessPoolExecutor(max_workers=num_workers) as pool:
-            futures = [pool.submit(_run_batch_in_process, worker, batch)
-                       for batch in batches]
-            for future in futures:
-                out, local = future.result()
-                merged.update(out)
-                if counters is not NULL_COUNTERS:
-                    counters.merge(local)
-        return merged
-
     local_counters = [Counters() for _ in batches]
     with ThreadPoolExecutor(max_workers=num_workers) as pool:
         futures = [
@@ -177,82 +146,43 @@ def map_batches(targets: Sequence, num_workers: int, worker,
 def compute_h_degrees(graph: Graph, h: int,
                       vertices: Optional[Iterable[Vertex]] = None,
                       alive: Optional[Set[Vertex]] = None,
-                      num_threads: Optional[int] = None,
                       counters: Counters = NULL_COUNTERS,
                       backend: object = "dict",
                       executor: str = "thread",
                       num_workers: Optional[int] = None) -> Dict[Vertex, int]:
     """Compute the h-degree of every vertex in ``vertices`` (default: all alive).
 
-    With ``num_workers > 1`` (``num_threads`` is the deprecated legacy
-    spelling) the per-vertex h-bounded BFS traversals are distributed over
-    the selected ``executor`` (see :data:`EXECUTORS`); each worker
-    accumulates into a private counter object that is merged into
-    ``counters`` once all workers finish, so the reported totals are
-    identical to the sequential run.
+    A label-space wrapper around one ``bulk_h_degrees`` call on the engine
+    ``backend`` resolves to (see :func:`repro.core.backends.resolve_engine`):
+    ``vertices`` / ``alive`` are translated to engine handles and the result
+    is keyed by the original vertices.  With ``num_workers > 1`` the
+    per-vertex h-bounded BFS traversals are distributed over the selected
+    ``executor`` (see :data:`EXECUTORS`); each worker accumulates into a
+    private counter object that is merged into ``counters`` once all
+    workers finish, so the reported totals are identical to the sequential
+    run.
 
-    With ``backend="csr"`` (or ``"auto"`` on an integer-friendly graph) the
-    BFS traversals run on a one-shot CSR snapshot through the array backend;
-    ``vertices``/``alive`` stay in label space and the result is keyed by the
-    original vertices either way.  ``executor="process"`` always runs on a
-    CSR snapshot (any hashable vertex type works — only the shared flat
-    arrays can cross the process boundary without pickling the graph), and
-    the snapshot plus its worker pool are torn down before returning unless
-    the caller supplied a pre-built engine as ``backend``.  Consequence:
-    each ``backend="dict"`` process call pays a full pool spin-up — callers
-    with repeated bulk passes (the decomposition algorithms do this through
-    their resolved engine) should pass a :class:`CSREngine
-    <repro.core.backends.CSREngine>` to amortize it.
+    ``executor="process"`` always runs on a CSR snapshot (the dict engine
+    promotes to one; any hashable vertex type works).  An engine resolved
+    here from a backend name — with its snapshot and worker pool — is torn
+    down before returning, so each call by name pays a full pool spin-up;
+    callers with repeated bulk passes should pass a pre-built engine as
+    ``backend`` to amortize it.
     """
-    _validate_executor(executor)
-    workers = resolve_worker_count(num_workers, num_threads)
-    want_process = executor == "process" and workers > 1
-    if backend not in ("dict",) or want_process:
-        # Imported lazily: backends.DictEngine delegates back to this module.
-        from repro.core.backends import CSREngine, resolve_engine
-        owned = isinstance(backend, str)
-        if want_process and backend in ("dict",):
-            # Straight to the CSR snapshot — building the DictEngine only
-            # to discard it would be wasted work.
-            engine = CSREngine(graph)
-        else:
-            engine = resolve_engine(graph, backend)
-            if want_process and not isinstance(engine, CSREngine):
-                engine = CSREngine(graph)
-                owned = True
-        if isinstance(engine, CSREngine):
-            try:
-                targets = None if vertices is None else \
-                    [engine.handle_of(v) for v in vertices]
-                alive_mask = None if alive is None else \
-                    engine.alive_subset(engine.handle_of(v) for v in alive)
-                degrees = engine.bulk_h_degrees(h, targets=targets,
-                                                alive=alive_mask,
-                                                num_workers=workers,
-                                                counters=counters,
-                                                executor=executor)
-                return engine.to_labels(degrees)
-            finally:
-                if owned:
-                    engine.close()
+    # Imported lazily: backends imports this module at load time.
+    from repro.core.backends import resolve_engine
 
-    if vertices is None:
-        vertices = alive if alive is not None else graph.vertices()
-    targets = list(vertices)
-
-    if workers <= 1 or len(targets) < 2 or executor == "serial":
-        result: Dict[Vertex, int] = {}
-        for v in targets:
-            result[v] = h_degree(graph, v, h, alive=alive, counters=counters)
-            counters.count_hdegree()
-        return result
-
-    def worker(batch: Sequence[Vertex], local: Counters) -> Dict[Vertex, int]:
-        out: Dict[Vertex, int] = {}
-        for v in batch:
-            out[v] = h_degree(graph, v, h, alive=alive, counters=local)
-            local.count_hdegree()
-        return out
-
-    return map_batches(targets, workers, worker, counters,
-                       executor="thread")
+    engine = resolve_engine(graph, backend)
+    try:
+        targets = None if vertices is None else \
+            [engine.handle_of(v) for v in vertices]
+        alive_set = None if alive is None else \
+            engine.alive_subset(engine.handle_of(v) for v in alive)
+        degrees = engine.bulk_h_degrees(h, targets=targets, alive=alive_set,
+                                        num_workers=num_workers,
+                                        counters=counters,
+                                        executor=executor)
+        return engine.to_labels(degrees)
+    finally:
+        if isinstance(backend, str):
+            engine.close()

@@ -110,9 +110,7 @@ class DynamicKHCore:
         Maximum fixed-point expansion rounds before giving up and falling
         back.
     num_workers / executor / partition_size:
-        Forwarded to the batch algorithm on full recomputations
-        (``num_threads`` is the deprecated legacy spelling of
-        ``num_workers``).
+        Forwarded to the batch algorithm on full recomputations.
     counters:
         Optional shared instrumentation sink for all traversal work.
     initial_cores:
@@ -139,7 +137,6 @@ class DynamicKHCore:
                  algorithm: str = "auto",
                  fallback_ratio: float = DEFAULT_FALLBACK_RATIO,
                  max_expansions: int = DEFAULT_MAX_EXPANSIONS,
-                 num_threads: Optional[int] = None,
                  partition_size: int = 1,
                  counters: Optional[Counters] = None,
                  executor: str = "thread",
@@ -180,7 +177,6 @@ class DynamicKHCore:
         self._context = ExecutionContext(self.graph, backend=self.backend,
                                          executor=executor,
                                          num_workers=num_workers,
-                                         num_threads=num_threads,
                                          counters=self.counters,
                                          relabel=relabel,
                                          storage=storage)

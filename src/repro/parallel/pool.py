@@ -78,15 +78,11 @@ class SharedMemoryExecutor:
     """Persistent worker pool attached to a shared-memory CSR block."""
 
     def __init__(self, num_workers: int,
-                 start_method: Optional[str] = None,
-                 oversubscription: int = DEFAULT_OVERSUBSCRIPTION) -> None:
+                 start_method: Optional[str] = None) -> None:
         if num_workers < 1:
             raise ParameterError("num_workers must be a positive integer")
-        if oversubscription < 1:
-            raise ParameterError("oversubscription must be >= 1")
         self.num_workers = num_workers
         self.start_method = start_method
-        self._oversubscription = oversubscription
         self._mp_context = multiprocessing.get_context(start_method)
         # Pool and export live in a plain dict shared with the finalizer so
         # the finalizer never holds (and never needs) a reference to self.
@@ -164,11 +160,6 @@ class SharedMemoryExecutor:
         self.close()
 
     # -- dispatch ------------------------------------------------------- #
-    @property
-    def oversubscription(self) -> int:
-        """Average chunks per worker targeted by the chunk planner."""
-        return self._oversubscription
-
     def _pool(self) -> ProcessPoolExecutor:
         pool = self._state["pool"]
         if pool is None:
@@ -245,7 +236,7 @@ class SharedMemoryExecutor:
             return {}
         layout, use_alive, alive_stamp = self.prepare(csr, alive)
         chunks = chunk_plan(indices,
-                            self.num_workers * self._oversubscription,
+                            self.num_workers * DEFAULT_OVERSUBSCRIPTION,
                             weights=weights)
         merged: Dict[int, int] = {}
         try:

@@ -32,14 +32,12 @@ __all__ = [
     "ResilienceReport",
     "RetryPolicy",
     "SupervisedExecutor",
-    "supervision_enabled",
     "DoctorReport",
     "run_doctor",
 ]
 
 _LAZY = {
     "SupervisedExecutor": ("repro.resilience.supervisor", "SupervisedExecutor"),
-    "supervision_enabled": ("repro.resilience.supervisor", "supervision_enabled"),
     "DoctorReport": ("repro.resilience.janitor", "DoctorReport"),
     "run_doctor": ("repro.resilience.janitor", "run_doctor"),
 }

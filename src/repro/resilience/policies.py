@@ -15,29 +15,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
 def chunk_deadline_from_env() -> Optional[float]:
     """Per-chunk deadline in seconds from ``KH_CORE_CHUNK_DEADLINE`` (if set)."""
-    value = _env_float("KH_CORE_CHUNK_DEADLINE", 0.0)
+    try:
+        value = float(os.environ.get("KH_CORE_CHUNK_DEADLINE", "") or 0.0)
+    except ValueError:
+        return None
     return value if value > 0 else None
 
 
@@ -58,18 +41,6 @@ class RetryPolicy:
     backoff_max: float = 1.0
     jitter: float = 0.25
     seed: int = 0
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Build a policy honouring the ``KH_CORE_MAX_*`` env overrides."""
-        return cls(
-            max_retries=_env_int("KH_CORE_MAX_RETRIES", cls.max_retries),
-            max_pool_rebuilds=_env_int(
-                "KH_CORE_MAX_POOL_REBUILDS", cls.max_pool_rebuilds
-            ),
-            backoff_base=_env_float("KH_CORE_BACKOFF_BASE", cls.backoff_base),
-            backoff_max=_env_float("KH_CORE_BACKOFF_MAX", cls.backoff_max),
-        )
 
     def delay(self, attempt: int, rng: random.Random) -> float:
         """Backoff delay before retry number ``attempt`` (1-based)."""

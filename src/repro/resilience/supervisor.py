@@ -34,7 +34,6 @@ is bit-identical (results *and* counters) to the raw pool.
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from concurrent.futures import BrokenExecutor, TimeoutError as FuturesTimeout
@@ -59,20 +58,6 @@ from repro.resilience.policies import (
 from repro.traversal.array_bfs import AliveMask
 
 
-def supervision_enabled() -> bool:
-    """Whether engines should wrap the process pool (``KH_CORE_SUPERVISED``).
-
-    Defaults to on; set ``KH_CORE_SUPERVISED=0`` to run the raw executor
-    (used by the benchmark guard to measure supervision overhead).
-    """
-    return os.environ.get("KH_CORE_SUPERVISED", "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
 class SupervisedExecutor:
     """Fault-tolerant façade over :class:`SharedMemoryExecutor`.
 
@@ -83,14 +68,12 @@ class SupervisedExecutor:
 
     def __init__(self, num_workers: int,
                  start_method: Optional[str] = None,
-                 oversubscription: int = DEFAULT_OVERSUBSCRIPTION,
                  retry: Optional[RetryPolicy] = None,
                  chunk_deadline: Optional[float] = None,
                  report: Optional[ResilienceReport] = None) -> None:
-        self._inner = SharedMemoryExecutor(
-            num_workers, start_method=start_method,
-            oversubscription=oversubscription)
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
+        self._inner = SharedMemoryExecutor(num_workers,
+                                           start_method=start_method)
+        self.retry = retry if retry is not None else RetryPolicy()
         self.chunk_deadline = (
             chunk_deadline if chunk_deadline is not None
             else chunk_deadline_from_env())
@@ -189,7 +172,7 @@ class SupervisedExecutor:
             layout, use_alive, alive_stamp = self._inner.prepare(csr, alive)
             chunks = chunk_plan(
                 indices,
-                self._inner.num_workers * self._inner.oversubscription,
+                self._inner.num_workers * DEFAULT_OVERSUBSCRIPTION,
                 weights=weights)
             results, gathered = self._run_chunks(
                 chunks, layout, h, use_alive, alive_stamp, engine_kind,

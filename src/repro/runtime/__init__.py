@@ -1,4 +1,4 @@
-"""Execution runtime: context, worker shims, and peel-state layouts.
+"""Execution runtime: context and peel-state layouts.
 
 One layer that owns *how* a decomposition runs — engine resolution, executor
 selection, worker-pool lifecycle, counters, close/ownership semantics, and
@@ -18,7 +18,6 @@ from repro.runtime.peel import (
     make_peel_state,
     resolve_peel_kind,
 )
-from repro.runtime.workers import resolve_worker_count, warn_legacy_workers
 
 __all__ = [
     "ExecutionContext",
@@ -31,6 +30,4 @@ __all__ = [
     "make_core_map",
     "make_peel_state",
     "resolve_peel_kind",
-    "resolve_worker_count",
-    "warn_legacy_workers",
 ]

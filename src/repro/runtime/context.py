@@ -11,9 +11,7 @@ place:
   / ``"auto"``) or a pre-built engine; the context resolves it exactly once
   and remembers whether it owns the result.
 * **Executor + workers** — the scheduler name and worker count for the bulk
-  h-degree passes, validated once, with the legacy ``num_threads`` spelling
-  funneled through the single deprecation shim
-  (:mod:`repro.runtime.workers`).
+  h-degree passes, validated once.
 * **Counters** — the instrumentation sink every phase records into.
 * **Peel-state layout** — ``peel="auto"`` selects the flat-array peel state
   on the CSR engine and the dict state otherwise; benchmarks force
@@ -46,7 +44,6 @@ from repro.runtime.peel import (
     make_core_map,
     make_peel_state,
 )
-from repro.runtime.workers import resolve_worker_count
 
 
 class ExecutionContext:
@@ -70,9 +67,7 @@ class ExecutionContext:
         Scheduler for the bulk h-degree passes (``"serial"`` / ``"thread"``
         / ``"process"``).
     num_workers:
-        Worker count for the selected executor.  The legacy ``num_threads``
-        keyword is still accepted (with a :class:`DeprecationWarning`);
-        ``num_workers`` wins when both are given.
+        Worker count for the selected executor (default: 1).
     counters:
         Instrumentation sink shared by every phase run under this context.
     peel:
@@ -117,8 +112,7 @@ class ExecutionContext:
                  csr_threshold: Optional[int] = None,
                  relabel: Optional[str] = None,
                  storage: str = "auto",
-                 storage_dir: Optional[str] = None,
-                 num_threads: Optional[int] = None) -> None:
+                 storage_dir: Optional[str] = None) -> None:
         from repro.core.backends import resolve_engine
         from repro.core.parallel import _validate_executor
 
@@ -129,7 +123,7 @@ class ExecutionContext:
             )
         self.graph = graph
         self.executor = executor
-        self.num_workers = resolve_worker_count(num_workers, num_threads)
+        self.num_workers = 1 if num_workers is None else num_workers
         self.counters = counters
         self.peel = peel
         self.engine = resolve_engine(graph, backend, csr_threshold,
@@ -220,7 +214,6 @@ class ExecutionContext:
 def scoped_context(graph, context: Optional[ExecutionContext] = None,
                    backend="auto", executor: str = "thread",
                    num_workers: Optional[int] = None,
-                   num_threads: Optional[int] = None,
                    counters: Counters = NULL_COUNTERS,
                    peel: str = "auto",
                    storage: str = "auto",
@@ -228,9 +221,9 @@ def scoped_context(graph, context: Optional[ExecutionContext] = None,
                    ) -> Iterator[ExecutionContext]:
     """Yield ``context`` if supplied, else a fresh context closed on exit.
 
-    This is the shim every legacy entry point runs on: the historical
-    ``backend=`` / ``executor=`` / ``num_workers=`` (and deprecated
-    ``num_threads=``) keywords construct a context scoped to the call, while
+    This is the shim every keyword entry point runs on: the historical
+    ``backend=`` / ``executor=`` / ``num_workers=`` keywords construct a
+    context scoped to the call, while
     a caller-supplied ``context`` is passed through **without** being closed
     — its owner decides when the pools die.
     """
@@ -246,7 +239,6 @@ def scoped_context(graph, context: Optional[ExecutionContext] = None,
         return
     fresh = ExecutionContext(graph, backend=backend, executor=executor,
                              num_workers=num_workers,
-                             num_threads=num_threads,
                              counters=counters, peel=peel,
                              storage=storage, storage_dir=storage_dir)
     try:

@@ -350,7 +350,7 @@ class TestBulkHDegrees:
         sequential = Counters()
         threaded = Counters()
         a = compute_h_degrees(graph, 2, backend="csr", counters=sequential)
-        b = compute_h_degrees(graph, 2, backend="csr", num_threads=4,
+        b = compute_h_degrees(graph, 2, backend="csr", num_workers=4,
                               counters=threaded)
         assert a == b
         assert threaded.vertices_visited == sequential.vertices_visited

@@ -79,9 +79,7 @@ class TestExecutorFlags:
         args = build_parser().parse_args(["graph.txt"])
         assert args.executor == "thread"
         assert args.workers is None
-        # --threads defaults to None so the shared deprecation shim can
-        # tell an explicit legacy request apart from "not given".
-        assert args.threads is None
+        assert not hasattr(args, "threads")
 
     def test_executor_choices(self):
         with pytest.raises(SystemExit):
@@ -106,12 +104,6 @@ class TestExecutorFlags:
                           "--workers", "3", "--executor", "serial"])
         assert exit_code == 0
         assert "# executor: serial, workers: 3" in capsys.readouterr().err
-
-    def test_workers_defaults_to_threads_value(self, edge_list_file, capsys):
-        exit_code = main([str(edge_list_file), "--h", "2", "--verbose",
-                          "--threads", "2"])
-        assert exit_code == 0
-        assert "# executor: thread, workers: 2" in capsys.readouterr().err
 
 
 class TestVerboseBackend:

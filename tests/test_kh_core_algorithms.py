@@ -165,8 +165,8 @@ class TestAlgorithmParameters:
 
     def test_multithreaded_matches_sequential(self):
         g = erdos_renyi_graph(24, 0.15, seed=11)
-        sequential = h_lb_ub(g, 2, num_threads=1).core_index
-        threaded = h_lb_ub(g, 2, num_threads=4).core_index
+        sequential = h_lb_ub(g, 2, num_workers=1).core_index
+        threaded = h_lb_ub(g, 2, num_workers=4).core_index
         assert sequential == threaded
 
     def test_counters_populated(self):

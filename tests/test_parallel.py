@@ -80,81 +80,77 @@ class TestChunkPlan:
 
 
 def _square_worker(batch, local):
-    """Module-level worker: picklable for the generic process mode."""
     local.bump("batches")
     return {x: x * x for x in batch}
 
 
 class TestMapBatches:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_executors_agree(self, executor):
+    # One worker runs the targets inline as a single batch; more fan the
+    # batches out over the thread pool.
+    @pytest.mark.parametrize("num_workers, batches", [(1, 1), (3, 3)],
+                             ids=["serial", "thread"])
+    def test_executors_agree(self, num_workers, batches):
         targets = list(range(20))
         expected = {x: x * x for x in targets}
         counters = Counters()
-        result = map_batches(targets, 3, _square_worker, counters,
-                             executor=executor)
+        result = map_batches(targets, num_workers, _square_worker, counters)
         assert result == expected
-        assert counters.extra["batches"] >= 1
-
-    def test_unknown_executor(self):
-        with pytest.raises(ParameterError):
-            map_batches([1, 2], 2, _square_worker, executor="fibers")
+        assert counters.extra["batches"] == batches
 
     def test_weighted_dispatch(self):
         targets = list(range(12))
         weights = [10] + [1] * 11
-        result = map_batches(targets, 3, _square_worker, executor="thread",
-                             weights=weights)
+        result = map_batches(targets, 3, _square_worker, weights=weights)
         assert result == {x: x * x for x in targets}
 
 
 class TestComputeHDegrees:
-    @pytest.mark.parametrize("num_threads", [1, 2, 4])
-    def test_matches_sequential_reference(self, num_threads):
+    @pytest.mark.parametrize("num_workers", [1, 2, 4])
+    def test_matches_sequential_reference(self, num_workers):
         graph = erdos_renyi_graph(30, 0.15, seed=1)
         expected = all_h_degrees(graph, 2)
-        assert compute_h_degrees(graph, 2, num_threads=num_threads) == expected
+        assert compute_h_degrees(graph, 2, num_workers=num_workers) == expected
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_executors_match_reference(self, executor):
         graph = erdos_renyi_graph(30, 0.15, seed=4)
         expected = all_h_degrees(graph, 2)
-        assert compute_h_degrees(graph, 2, num_threads=2,
+        assert compute_h_degrees(graph, 2, num_workers=2,
                                  executor=executor) == expected
 
     def test_alive_restriction(self):
         graph = cycle_graph(10)
         alive = {0, 1, 2, 3, 4}
         expected = all_h_degrees(graph, 2, alive=alive)
-        assert compute_h_degrees(graph, 2, alive=alive, num_threads=3) == expected
+        assert compute_h_degrees(graph, 2, alive=alive, num_workers=3) == expected
 
     def test_alive_restriction_process(self):
         graph = cycle_graph(10)
         alive = {0, 1, 2, 3, 4}
         expected = all_h_degrees(graph, 2, alive=alive)
-        assert compute_h_degrees(graph, 2, alive=alive, num_threads=2,
+        assert compute_h_degrees(graph, 2, alive=alive, num_workers=2,
                                  executor="process") == expected
 
     def test_explicit_vertex_subset(self):
         graph = cycle_graph(8)
-        result = compute_h_degrees(graph, 2, vertices=[0, 4], num_threads=2)
+        result = compute_h_degrees(graph, 2, vertices=[0, 4], num_workers=2)
         assert set(result) == {0, 4}
 
     def test_counters_merged_across_threads(self):
         graph = erdos_renyi_graph(25, 0.2, seed=2)
         sequential_counters = Counters()
-        compute_h_degrees(graph, 2, num_threads=1, counters=sequential_counters)
+        compute_h_degrees(graph, 2, num_workers=1, counters=sequential_counters)
         threaded_counters = Counters()
-        compute_h_degrees(graph, 2, num_threads=4, counters=threaded_counters)
+        compute_h_degrees(graph, 2, num_workers=4, counters=threaded_counters)
         assert threaded_counters.vertices_visited == sequential_counters.vertices_visited
         assert threaded_counters.hdegree_computations == sequential_counters.hdegree_computations
 
     def test_counters_merged_across_processes(self):
         graph = erdos_renyi_graph(25, 0.2, seed=2)
         sequential_counters = Counters()
-        compute_h_degrees(graph, 2, num_threads=1, counters=sequential_counters)
+        compute_h_degrees(graph, 2, num_workers=1, counters=sequential_counters)
         process_counters = Counters()
-        compute_h_degrees(graph, 2, num_threads=2, counters=process_counters,
+        compute_h_degrees(graph, 2, num_workers=2, counters=process_counters,
                           executor="process")
         assert process_counters.vertices_visited == sequential_counters.vertices_visited
         assert process_counters.hdegree_computations == sequential_counters.hdegree_computations
@@ -166,7 +162,7 @@ class TestComputeHDegrees:
         from repro.graph import Graph
         labeled = Graph(relabeled_edges)
         expected = all_h_degrees(labeled, 2)
-        assert compute_h_degrees(labeled, 2, num_threads=2,
+        assert compute_h_degrees(labeled, 2, num_workers=2,
                                  executor="process") == expected
 
     def test_unknown_executor(self):
@@ -176,4 +172,4 @@ class TestComputeHDegrees:
 
     def test_empty_vertex_list(self):
         graph = cycle_graph(5)
-        assert compute_h_degrees(graph, 2, vertices=[], num_threads=2) == {}
+        assert compute_h_degrees(graph, 2, vertices=[], num_workers=2) == {}

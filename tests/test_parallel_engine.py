@@ -80,12 +80,12 @@ class TestExecutorIdentity:
         graph = erdos_renyi_graph(30, 0.15, seed=12)
         engine = DictEngine(graph)
         try:
-            first = engine.bulk_h_degrees(2, num_threads=2,
+            first = engine.bulk_h_degrees(2, num_workers=2,
                                           executor="process")
             delegate = engine._process_delegate
             assert delegate is not None
             assert first == engine.bulk_h_degrees(2)
-            second = engine.bulk_h_degrees(3, num_threads=2,
+            second = engine.bulk_h_degrees(3, num_workers=2,
                                            executor="process")
             assert engine._process_delegate is delegate  # no re-spin
             assert second == engine.bulk_h_degrees(3)
@@ -95,7 +95,7 @@ class TestExecutorIdentity:
             else:
                 graph.add_edge(u, v)
             engine.refresh(touched=[u, v])
-            third = engine.bulk_h_degrees(2, num_threads=2,
+            third = engine.bulk_h_degrees(2, num_workers=2,
                                           executor="process")
             assert third == compute_h_degrees(graph, 2)
         finally:
@@ -106,10 +106,10 @@ class TestExecutorIdentity:
         graph = erdos_renyi_graph(40, 0.12, seed=3)
         engine = CSREngine(graph)
         try:
-            first = engine.bulk_h_degrees(2, num_threads=2,
+            first = engine.bulk_h_degrees(2, num_workers=2,
                                           executor="process")
             name = engine._shm_pool.shm_name
-            second = engine.bulk_h_degrees(3, num_threads=2,
+            second = engine.bulk_h_degrees(3, num_workers=2,
                                            executor="process")
             assert engine._shm_pool.shm_name == name  # same export reused
             assert first == engine.bulk_h_degrees(2)
@@ -125,7 +125,7 @@ class TestLifecycle:
     def test_unlinked_on_normal_close(self):
         graph = erdos_renyi_graph(30, 0.15, seed=1)
         engine = CSREngine(graph)
-        engine.bulk_h_degrees(2, num_threads=2, executor="process")
+        engine.bulk_h_degrees(2, num_workers=2, executor="process")
         name = engine._shm_pool.shm_name
         assert name is not None
         engine.close()
@@ -135,11 +135,11 @@ class TestLifecycle:
         graph = erdos_renyi_graph(25, 0.15, seed=2)
         engine = CSREngine(graph)
         serial = engine.bulk_h_degrees(2)
-        engine.bulk_h_degrees(2, num_threads=2, executor="process")
+        engine.bulk_h_degrees(2, num_workers=2, executor="process")
         engine.close()
         engine.close()
         # A later process dispatch simply spins a fresh pool up.
-        assert engine.bulk_h_degrees(2, num_threads=2,
+        assert engine.bulk_h_degrees(2, num_workers=2,
                                      executor="process") == serial
         engine.close()
 
@@ -182,7 +182,7 @@ class TestLifecycle:
         graph = erdos_renyi_graph(30, 0.15, seed=6)
         engine = CSREngine(graph)
         try:
-            engine.bulk_h_degrees(2, num_threads=2, executor="process")
+            engine.bulk_h_degrees(2, num_workers=2, executor="process")
             old_name = engine._shm_pool.shm_name
             u, v = 0, 17
             if graph.has_edge(u, v):
@@ -195,7 +195,7 @@ class TestLifecycle:
             # no process dispatches must not pay an export per refresh).
             _assert_unlinked(old_name)
             assert engine._shm_pool.shm_name is None
-            got = engine.bulk_h_degrees(2, num_threads=2,
+            got = engine.bulk_h_degrees(2, num_workers=2,
                                         executor="process")
             assert engine._shm_pool.shm_name not in (None, old_name)
             assert engine.to_labels(got) == compute_h_degrees(graph, 2)
@@ -214,7 +214,7 @@ class TestLifecycle:
                                     [engine.csr.num_vertices + 7])
             assert pool.closed
             # The next process request discards the dead pool and recovers.
-            got = engine.bulk_h_degrees(2, num_threads=2,
+            got = engine.bulk_h_degrees(2, num_workers=2,
                                         executor="process")
             assert got == serial
         finally:
@@ -242,7 +242,7 @@ class TestLifecycle:
             engine = CSREngine(graph)
             engine._process_pool(2, start_method=method)
             try:
-                got = h_bz(graph, 2, num_threads=2, backend=engine,
+                got = h_bz(graph, 2, num_workers=2, backend=engine,
                            executor="process").core_index
                 assert got == expected, method
             finally:

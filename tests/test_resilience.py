@@ -25,7 +25,7 @@ from repro.resilience import FaultPlan, ResilienceReport, RetryPolicy, armed
 from repro.resilience import faults
 from repro.resilience.janitor import DoctorReport, run_doctor
 from repro.resilience.policies import chunk_deadline_from_env
-from repro.resilience.supervisor import SupervisedExecutor, supervision_enabled
+from repro.resilience.supervisor import SupervisedExecutor
 
 
 # --------------------------------------------------------------------- #
@@ -139,13 +139,6 @@ class TestRetryPolicy:
             delay = policy.delay(attempt, rng)
             assert 0.1 <= delay <= 0.1 * 1.25
 
-    def test_from_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("KH_CORE_MAX_RETRIES", "9")
-        monkeypatch.setenv("KH_CORE_MAX_POOL_REBUILDS", "4")
-        policy = RetryPolicy.from_env()
-        assert policy.max_retries == 9
-        assert policy.max_pool_rebuilds == 4
-
     def test_chunk_deadline_env(self, monkeypatch):
         monkeypatch.delenv("KH_CORE_CHUNK_DEADLINE", raising=False)
         assert chunk_deadline_from_env() is None
@@ -188,13 +181,6 @@ def _h_degrees_serial(graph, h):
 
 
 class TestSupervisedExecutor:
-    def test_supervision_enabled_env_toggle(self, monkeypatch):
-        monkeypatch.delenv("KH_CORE_SUPERVISED", raising=False)
-        assert supervision_enabled()
-        for value in ("0", "false", "off", "no"):
-            monkeypatch.setenv("KH_CORE_SUPERVISED", value)
-            assert not supervision_enabled()
-
     def test_fault_free_dispatch_matches_serial(self):
         faults.disarm()
         graph = relaxed_caveman_graph(4, 8, 0.2, seed=5)

@@ -6,10 +6,9 @@ Covers the three contracts the runtime layer owns:
   and *never* closes a caller-supplied engine or a caller-supplied context
   (the regression the old copy-pasted ``owned = isinstance(backend, str)``
   pattern existed to enforce, now implemented exactly once).
-* **Worker-count deprecation** — every entry point accepts ``num_workers``
-  and funnels the legacy ``num_threads`` (and CLI ``--threads``) through
-  the single shim in :mod:`repro.runtime.workers`, with one
-  :class:`DeprecationWarning` and the documented precedence.
+* **One worker-count spelling** — every entry point accepts ``num_workers``
+  (CLI ``--workers``); the removed ``num_threads`` keyword and ``--threads``
+  flag are rejected outright.
 * **Context plumbing** — the context's backend/executor/worker/peel choices
   reach the algorithms, and the context validates its inputs.
 """
@@ -33,15 +32,16 @@ from repro.core import (
     upper_bound,
 )
 from repro.cli import main
+from repro.core.backends import resolved_backend_name
 from repro.dynamic import DynamicKHCore
 from repro.errors import ParameterError
-from repro.graph.generators import cycle_graph, relaxed_caveman_graph
-from repro.instrumentation import Counters
-from repro.runtime import (
-    ExecutionContext,
-    resolve_worker_count,
-    scoped_context,
+from repro.graph.generators import (
+    barabasi_albert_graph,
+    cycle_graph,
+    relaxed_caveman_graph,
 )
+from repro.instrumentation import Counters
+from repro.runtime import ExecutionContext, scoped_context
 
 
 class RecordingCSREngine(CSREngine):
@@ -199,22 +199,19 @@ class TestContextResults:
         assert report.params["executor"] == "serial"
         assert report.params["num_workers"] == 2
 
+    def test_report_records_resolved_backend(self):
+        # Large enough for "auto" to step past the dict engine: the report
+        # must name the engine that ran, not the "auto" request.
+        graph = barabasi_albert_graph(600, 3, seed=1)
+        report = core_decomposition_with_report(graph, 2)
+        assert report.params["backend"] == resolved_backend_name(graph,
+                                                                 "auto")
+        assert report.params["backend"] != "auto"
+        assert report.params["executor"] == "thread"
+        assert report.params["num_workers"] == 1
+
 
 class TestWorkerShim:
-    def test_resolution_precedence(self):
-        assert resolve_worker_count(None, None) == 1
-        assert resolve_worker_count(3, None) == 3
-        with pytest.warns(DeprecationWarning):
-            assert resolve_worker_count(None, 2) == 2
-        with pytest.warns(DeprecationWarning):
-            # num_workers wins when both are given.
-            assert resolve_worker_count(4, 2) == 4
-
-    def test_no_warning_without_legacy_keyword(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_worker_count(2, None) == 2
-
     @pytest.mark.parametrize("call", [
         lambda g: h_bz(g, 2, num_threads=2),
         lambda g: h_lb(g, 2, num_threads=2),
@@ -230,8 +227,8 @@ class TestWorkerShim:
     ], ids=["h_bz", "h_lb", "h_lb_ub", "facade", "compute_h_degrees",
             "upper_bound", "improve_lb", "dict_engine", "csr_engine",
             "dynamic", "context"])
-    def test_every_entry_point_deprecates_num_threads(self, graph, call):
-        with pytest.warns(DeprecationWarning, match="num_threads"):
+    def test_every_entry_point_rejects_num_threads(self, graph, call):
+        with pytest.raises(TypeError, match="num_threads"):
             call(graph)
 
     def test_num_workers_spelling_is_silent(self, graph):
@@ -241,14 +238,13 @@ class TestWorkerShim:
             core_decomposition(graph, 2, num_workers=2)
             compute_h_degrees(graph, 2, num_workers=2)
 
-    def test_cli_threads_flag_warns_and_works(self, tmp_path, capsys):
+    def test_cli_threads_flag_is_rejected(self, tmp_path, capsys):
         edges = tmp_path / "g.edges"
         edges.write_text("0 1\n1 2\n2 0\n")
-        with pytest.warns(DeprecationWarning, match="--threads"):
-            exit_code = main([str(edges), "--h", "2", "--verbose",
-                              "--threads", "2"])
-        assert exit_code == 0
-        assert "workers: 2" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(edges), "--h", "2", "--threads", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_cli_workers_flag_is_silent(self, tmp_path, capsys):
         edges = tmp_path / "g.edges"
