@@ -34,6 +34,7 @@ Set ``KH_CORE_BENCH_QUICK=1`` (the CI smoke mode) to shrink the graphs.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import pytest
@@ -110,6 +111,23 @@ def _interleaved_bulk(engines, h, rounds=3):
     return best
 
 
+def _paired_bulk_seconds(first, second, h, rounds):
+    """Per-round bulk-pass seconds of two engines, as two lists.
+
+    Each round times the engines back to back, alternating which goes
+    first, so ``first[i] / second[i]`` compares runs taken under the same
+    machine load; a best-of comparison instead lets one engine's lucky
+    quiet window decide.
+    """
+    times = {id(first): [], id(second): []}
+    for r in range(rounds):
+        for engine in (first, second) if r % 2 == 0 else (second, first):
+            start = time.perf_counter()
+            engine.bulk_h_degrees(h, executor="serial")
+            times[id(engine)].append(time.perf_counter() - start)
+    return times[id(first)], times[id(second)]
+
+
 @pytest.mark.parametrize("name,builder,h", SPEEDUP_BATTERY,
                          ids=[name for name, _, _ in SPEEDUP_BATTERY])
 def test_numpy_speedup_on_bulk_pass(name, builder, h):
@@ -181,10 +199,14 @@ def test_relabel_win_on_hub_workload():
     assert (relabeled.to_labels(relabeled.bulk_h_degrees(2,
                                                          executor="serial"))
             == plain.to_labels(plain.bulk_h_degrees(2, executor="serial")))
-    plain_seconds, relabeled_seconds = _interleaved_bulk(
-        [plain, relabeled], 2, rounds=4)
-    win = (plain_seconds / relabeled_seconds if relabeled_seconds
-           else float("inf"))
+    plain_times, relabeled_times = _paired_bulk_seconds(plain, relabeled, 2,
+                                                        rounds=8)
+    plain_seconds, relabeled_seconds = min(plain_times), min(relabeled_times)
+    # The win (~1.1x) is the median of same-load paired ratios: against a
+    # 1.02x bar, best-of times flipped the verdict whenever the machine
+    # sped up during one engine's runs only.
+    win = statistics.median(p / r for p, r in zip(plain_times,
+                                                  relabeled_times))
     print(f"\nBA({RELABEL_SIZE}, 3) h=2 csr: none={plain_seconds:.3f}s "
           f"bfs-relabel={relabeled_seconds:.3f}s win={win:.2f}x "
           f"(required: {RELABEL_REQUIRED}x{' quick' if QUICK else ''})")

@@ -105,6 +105,13 @@ class TestExecutorFlags:
         assert exit_code == 0
         assert "# executor: serial, workers: 3" in capsys.readouterr().err
 
+    def test_workers_flag_sets_thread_worker_count(self, edge_list_file,
+                                                   capsys):
+        exit_code = main([str(edge_list_file), "--h", "2", "--verbose",
+                          "--workers", "2"])
+        assert exit_code == 0
+        assert "# executor: thread, workers: 2" in capsys.readouterr().err
+
 
 class TestVerboseBackend:
     def test_verbose_surfaces_resolved_backend(self, edge_list_file, capsys):
