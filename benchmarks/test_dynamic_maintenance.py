@@ -18,6 +18,10 @@ The benchmark graph is a perturbed grid (road-network stand-in): bounded
 h-neighborhoods make locality visible, and |V| is large enough that a full
 recomputation costs tens of milliseconds.  Set ``KH_CORE_BENCH_QUICK=1``
 (the CI smoke mode) to shrink the graph and the stream.
+
+The stream-replay speedup assert carries the ``bench`` marker
+(``test_update_stream_beats_recompute_per_update_gate``; run it with ``-m
+bench``); its correctness half runs by default on the quick-mode stream.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from __future__ import annotations
 import os
 import statistics
 import time
+
+import pytest
 
 from repro.core import core_decomposition
 from repro.dynamic import MODE_INCREMENTAL, DynamicKHCore, random_update_stream
@@ -37,6 +43,9 @@ QUICK = os.environ.get("KH_CORE_BENCH_QUICK", "") not in ("", "0")
 #: Grid side of the benchmark graph and length of the replayed stream.
 GRID_SIDE = 28 if QUICK else 40
 STREAM_LENGTH = 200 if QUICK else 1000
+#: The quick-mode sizes, used by the default run's correctness check.
+QUICK_GRID_SIDE = 28
+QUICK_STREAM_LENGTH = 200
 BATCH_SIZE = 32
 
 #: Required speedups (generous: locally measured margins are >= 5x these).
@@ -94,6 +103,18 @@ def test_single_edge_updates_beat_full_recomputation():
 
 
 def test_update_stream_beats_recompute_per_update():
+    """Correctness half of the stream gate: replay equals from-scratch."""
+    graph = road_network_graph(QUICK_GRID_SIDE, QUICK_GRID_SIDE, seed=0)
+    updates = random_update_stream(graph, QUICK_STREAM_LENGTH, seed=2)
+    engine = DynamicKHCore(graph.copy(), h=H)
+    for offset in range(0, len(updates), BATCH_SIZE):
+        engine.apply_batch(updates[offset:offset + BATCH_SIZE])
+    assert engine.core_numbers() == core_decomposition(engine.graph,
+                                                       H).core_index
+
+
+@pytest.mark.bench
+def test_update_stream_beats_recompute_per_update_gate():
     """Batched replay of the update stream must be >= 5x faster end to end."""
     graph = benchmark_graph()
     full_seconds = _full_seconds(graph)

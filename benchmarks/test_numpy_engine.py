@@ -28,6 +28,10 @@ Every row also lands in the machine-readable ``BENCH_PR5.json`` artifact
 (:func:`bench_utils.write_bench_json`) together with an engine × executor
 matrix, seeding the perf trajectory for later PRs.
 
+The wall-clock asserts carry the ``bench`` marker (the ``*_gate`` tests):
+the default pytest run deselects them; run them with ``-m bench``.  Each
+gate's correctness half also runs by default, on the quick-mode graphs.
+
 Set ``KH_CORE_BENCH_QUICK=1`` (the CI smoke mode) to shrink the graphs.
 """
 
@@ -66,23 +70,27 @@ QUICK = os.environ.get("KH_CORE_BENCH_QUICK", "") not in ("", "0")
 #: dense-sweep margin is an order of magnitude, so quick mode keeps the bar).
 REQUIRED_SPEEDUP = 3.0
 
-#: The two asserted workloads: (name, graph builder, h).
+#: The two asserted workloads: (name, graph builder, h).  A builder takes
+#: ``quick`` and returns the quick-mode or the full-size graph.
 SPEEDUP_BATTERY = [
-    ("star hub", lambda: star_graph(1200 if QUICK else 3500), 2),
+    ("star hub", lambda quick: star_graph(1200 if quick else 3500), 2),
     ("powerlaw-cluster h3",
-     lambda: powerlaw_cluster_graph(2500 if QUICK else 8000, 5, 0.5, seed=0),
+     lambda quick: powerlaw_cluster_graph(2500 if quick else 8000, 5, 0.5,
+                                          seed=0),
      3),
 ]
 
 #: Frontier-kernel visibility rows: numpy must not regress below CSR.
 SPARSE_BATTERY = [
-    ("WS ring", lambda: watts_strogatz_graph(3000 if QUICK else 12000, 8,
-                                             0.05, seed=0), 2),
-    ("grid h3", lambda: grid_graph(*(2 * (40 if QUICK else 110,))), 3),
+    ("WS ring", lambda quick: watts_strogatz_graph(3000 if quick else 12000,
+                                                   8, 0.05, seed=0), 2),
+    ("grid h3", lambda quick: grid_graph(*(2 * (40 if quick else 110,))), 3),
 ]
 
 #: Hub-dominated relabeling workload (claim 2).
 RELABEL_SIZE = 10000 if QUICK else 30000
+#: Its size for the default run's correctness check.
+RELABEL_QUICK_SIZE = 10000
 #: Full-size bar for the relabeling win; quick mode only guards
 #: "not slower" because the quick working set is cache-resident anyway.
 RELABEL_REQUIRED = 0.95 if QUICK else 1.02
@@ -128,12 +136,26 @@ def _paired_bulk_seconds(first, second, h, rounds):
     return times[id(first)], times[id(second)]
 
 
+def _assert_same_bulk_degrees(graph, h):
+    """The numpy engine's bulk pass returns the CSR engine's h-degrees."""
+    assert (resolve_engine(graph, "numpy").bulk_h_degrees(h, executor="serial")
+            == CSREngine(graph).bulk_h_degrees(h, executor="serial"))
+
+
 @pytest.mark.parametrize("name,builder,h", SPEEDUP_BATTERY,
                          ids=[name for name, _, _ in SPEEDUP_BATTERY])
 def test_numpy_speedup_on_bulk_pass(name, builder, h):
+    """Correctness half of the speedup gate, on the quick-mode graph."""
+    _assert_same_bulk_degrees(builder(True), h)
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("name,builder,h", SPEEDUP_BATTERY,
+                         ids=[name for name, _, _ in SPEEDUP_BATTERY])
+def test_numpy_speedup_on_bulk_pass_gate(name, builder, h):
     """Bulk h-degree pass: numpy engine >= 3x over the serial CSR engine."""
     _xdist_guard()
-    graph = builder()
+    graph = builder(QUICK)
     csr = CSREngine(graph)
     vec = resolve_engine(graph, "numpy")
     expected = csr.bulk_h_degrees(h, executor="serial")
@@ -163,9 +185,17 @@ def test_numpy_speedup_on_bulk_pass(name, builder, h):
 @pytest.mark.parametrize("name,builder,h", SPARSE_BATTERY,
                          ids=[name for name, _, _ in SPARSE_BATTERY])
 def test_numpy_not_slower_on_frontier_workloads(name, builder, h):
+    """Correctness half of the frontier gate, on the quick-mode graph."""
+    _assert_same_bulk_degrees(builder(True), h)
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("name,builder,h", SPARSE_BATTERY,
+                         ids=[name for name, _, _ in SPARSE_BATTERY])
+def test_numpy_not_slower_on_frontier_workloads_gate(name, builder, h):
     """Frontier-kernel territory: identical degrees, numpy at least on par."""
     _xdist_guard()
-    graph = builder()
+    graph = builder(QUICK)
     csr = CSREngine(graph)
     vec = resolve_engine(graph, "numpy")
     assert (vec.bulk_h_degrees(h, executor="serial")
@@ -190,6 +220,17 @@ def test_numpy_not_slower_on_frontier_workloads(name, builder, h):
 
 
 def test_relabel_win_on_hub_workload():
+    """Correctness half of the relabel gate: same label-space h-degrees."""
+    graph = barabasi_albert_graph(RELABEL_QUICK_SIZE, 3, seed=0)
+    plain = CSREngine(graph)
+    relabeled = CSREngine(graph, relabel="bfs")
+    assert (relabeled.to_labels(relabeled.bulk_h_degrees(2,
+                                                         executor="serial"))
+            == plain.to_labels(plain.bulk_h_degrees(2, executor="serial")))
+
+
+@pytest.mark.bench
+def test_relabel_win_on_hub_workload_gate():
     """BFS relabeling alone speeds the CSR bulk pass on the BA hub graph."""
     _xdist_guard()
     graph = barabasi_albert_graph(RELABEL_SIZE, 3, seed=0)

@@ -26,6 +26,10 @@ Two claims are asserted, not assumed:
    is a second-order cost.  These rows are reported for visibility; the
    guard only catches the array path regressing *below* the dict twin.
 
+The hub-workload speedup assert carries the ``bench`` marker
+(``test_array_peel_speedup_on_hub_workload_gate``; run it with ``-m
+bench``); its correctness half runs by default on the quick-mode star.
+
 Set ``KH_CORE_BENCH_QUICK=1`` (the CI smoke mode) to shrink the graphs.
 The quick-mode bar for claim 1 is relaxed (see ``REQUIRED_SPEEDUP_QUICK``):
 at small n the fixed costs shared by both layouts (bulk pass, LB2,
@@ -54,6 +58,8 @@ QUICK = os.environ.get("KH_CORE_BENCH_QUICK", "") not in ("", "0")
 
 #: Leaves of the hub-dominated benchmark star.
 STAR_SIZE = 700 if QUICK else 1500
+#: Its size for the default run's correctness check.
+STAR_QUICK_SIZE = 700
 
 #: Required array-over-dict speedup for h-LB+UB on the star workload.
 REQUIRED_SPEEDUP = 1.5
@@ -109,6 +115,14 @@ def _timed_interleaved(graph, h, repeats: int = 3):
 
 
 def test_array_peel_speedup_on_hub_workload():
+    """Correctness half of the hub gate: both peel states, same cores."""
+    graph = star_graph(STAR_QUICK_SIZE)
+    assert (_run_once(graph, H, "array")[1].core_index
+            == _run_once(graph, H, "dict")[1].core_index)
+
+
+@pytest.mark.bench
+def test_array_peel_speedup_on_hub_workload_gate():
     """h-LB+UB on the star: array peel state must be >= 1.5x the dict state."""
     if os.environ.get("PYTEST_XDIST_WORKER"):
         pytest.skip("wall-clock speedups are meaningless under xdist")

@@ -56,7 +56,7 @@ from repro.runtime import ExecutionContext
 
 #: Single source of truth alongside pyproject.toml's ``version`` — keep the
 #: two in lockstep when releasing.
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "__version__",

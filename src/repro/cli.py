@@ -62,9 +62,11 @@ import asyncio
 import json
 import sys
 import time
+from contextlib import nullcontext
 from typing import Hashable, Optional, Sequence
 
 from repro.core import core_decomposition_with_report
+from repro.core.decomposition import DICT_ALGORITHMS, resolve_algorithm
 from repro.core.backends import resolved_backend_name
 from repro.dynamic import DynamicKHCore, read_update_stream
 from repro.errors import ReproError
@@ -336,13 +338,9 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
                              "numpy (vectorized kernels; needs the optional "
                              "NumPy extra), native (compiled GIL-releasing "
                              "kernels; needs the optional Numba extra), or "
-                             "auto (the fastest installed engine for large "
-                             "integer-vertex graphs, csr below the size "
-                             "thresholds)")
-    parser.add_argument("--csr-threshold", type=int, default=None,
-                        help="minimum vertex count for backend=auto to pick "
-                             "csr (default: KH_CORE_CSR_THRESHOLD env var, "
-                             "then 0)")
+                             "auto (dict for non-integer vertex labels, "
+                             "else native from 2048 vertices, numpy from "
+                             "512, csr below)")
     parser.add_argument("--relabel", default=None,
                         choices=("none", "degree", "bfs"),
                         help="cache-locality vertex relabeling applied at "
@@ -430,20 +428,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         graph = _load_graph(args)
-        backend = resolved_backend_name(graph, args.backend,
-                                        csr_threshold=args.csr_threshold)
-        with ExecutionContext(graph, backend=backend,
-                              executor=args.executor,
-                              num_workers=args.workers,
-                              csr_threshold=args.csr_threshold,
-                              relabel=args.relabel,
-                              storage=args.storage,
-                              storage_dir=args.storage_dir) as context:
+        algorithm = resolve_algorithm(args.algorithm, args.h)
+        if algorithm in DICT_ALGORITHMS:
+            # classic / naive peel the dict graph: no engine to build.
+            context = nullcontext()
+        else:
+            context = ExecutionContext(graph, backend=args.backend,
+                                       executor=args.executor,
+                                       num_workers=args.workers,
+                                       relabel=args.relabel,
+                                       storage=args.storage,
+                                       storage_dir=args.storage_dir)
+        with context as ctx:
             report = core_decomposition_with_report(
-                graph, args.h, algorithm=args.algorithm,
+                graph, args.h, algorithm=algorithm,
                 dataset_name=args.input or "demo",
-                partition_size=args.partition_size, context=context)
-            resilience = context.resilience
+                partition_size=args.partition_size, context=ctx)
+            resilience = None if ctx is None else ctx.resilience
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -452,8 +453,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"# graph: {graph.num_vertices} vertices, {graph.num_edges} edges", file=sys.stderr)
     print(f"# algorithm: {result.algorithm}, h = {args.h}", file=sys.stderr)
     if args.verbose:
-        print(f"# backend: {backend} (requested: {args.backend})", file=sys.stderr)
-        print(f"# executor: {args.executor}, "
+        print(f"# backend: {report.params['backend']} "
+              f"(requested: {args.backend})", file=sys.stderr)
+        print(f"# executor: {report.params['executor']}, "
               f"workers: {report.params['num_workers']}", file=sys.stderr)
         if resilience is not None:
             print(f"# resilience: {resilience.summary()}", file=sys.stderr)
@@ -485,8 +487,7 @@ def stream_main(argv: Sequence[str]) -> int:
         engine_kwargs = {}
         if args.fallback_ratio is not None:
             engine_kwargs["fallback_ratio"] = args.fallback_ratio
-        backend = resolved_backend_name(graph, args.backend,
-                                        csr_threshold=args.csr_threshold)
+        backend = resolved_backend_name(graph, args.backend)
         engine = DynamicKHCore(graph, h=args.h, backend=backend,
                                relabel=args.relabel, storage=args.storage,
                                **engine_kwargs)
@@ -538,8 +539,7 @@ def serve_main(argv: Sequence[str]) -> int:
     args = parser.parse_args(list(argv))
     try:
         graph = _load_graph(args, mutable=True)
-        backend = resolved_backend_name(graph, args.backend,
-                                        csr_threshold=args.csr_threshold)
+        backend = resolved_backend_name(graph, args.backend)
         service_kwargs = {}
         if args.max_batch is not None:
             service_kwargs["max_batch"] = args.max_batch

@@ -50,12 +50,7 @@ from repro.errors import (
     ParameterError,
     WorkerPoolError,
 )
-from repro.graph.csr import (
-    CSRGraph,
-    csr_suitable,
-    resolve_native_threshold,
-    resolve_numpy_threshold,
-)
+from repro.graph.csr import CSRGraph, csr_suitable
 from repro.graph.graph import Graph, Vertex
 from repro.graph.views import FrozenGraphView
 from repro.core.parallel import _validate_executor, map_batches
@@ -68,13 +63,25 @@ from repro.traversal.hneighborhood import h_degree as _dict_h_degree
 #: Backend names accepted by the decomposition entry points.
 BACKENDS = ("auto", "dict", "csr", "numpy", "native")
 
+#: Minimum vertex count for ``backend="auto"`` to step up from the
+#: pure-Python CSR engine to the vectorized NumPy engine.  Below this size
+#: the per-level NumPy dispatch overhead beats the win from vectorized
+#: frontier expansion.
+NUMPY_AUTO_MIN_VERTICES = 512
+
+#: Minimum vertex count for ``backend="auto"`` to step up from the NumPy
+#: engine to the compiled native engine.  On tiny graphs the whole
+#: decomposition takes microseconds either way and the first-call
+#: kernel-cache lookup is not worth scheduling.
+NATIVE_AUTO_MIN_VERTICES = 2048
+
 
 def numpy_available() -> bool:
     """True when the optional NumPy dependency is importable.
 
     Gate for the ``numpy`` engine: ``backend="auto"`` consults this (plus
-    the :func:`~repro.graph.csr.resolve_numpy_threshold` size gate) before
-    preferring the vectorized engine, and an explicit ``backend="numpy"``
+    the :data:`NUMPY_AUTO_MIN_VERTICES` size gate) before preferring the
+    vectorized engine, and an explicit ``backend="numpy"``
     raises a :class:`~repro.errors.ParameterError` when it returns False.
     Module-level on purpose so tests can monkeypatch NumPy "absent".
 
@@ -92,8 +99,8 @@ def native_available() -> bool:
     """True when the compiled ``native`` engine can run.
 
     Gate for the ``native`` engine, mirroring :func:`numpy_available`:
-    ``backend="auto"`` consults this (plus
-    :func:`~repro.graph.csr.resolve_native_threshold`) before preferring the
+    ``backend="auto"`` consults this (plus the
+    :data:`NATIVE_AUTO_MIN_VERTICES` size gate) before preferring the
     compiled engine, and an explicit ``backend="native"`` raises a
     :class:`~repro.errors.ParameterError` when it returns False.
 
@@ -624,9 +631,8 @@ class NativeEngine(CSREngine):
     Requires the optional Numba extra (``pip install
     'kh-core-repro[native]'``); :func:`resolve_engine` raises a clear error
     when it is missing and ``backend="auto"`` simply never selects it.
-    Construction pre-compiles (or cache-loads) the kernels unless
-    ``KH_CORE_NATIVE_WARMUP=0``, so first-traversal timings are
-    steady-state.
+    Construction pre-compiles (or cache-loads) the kernels, so
+    first-traversal timings are steady-state.
     """
 
     name = "native"
@@ -634,10 +640,9 @@ class NativeEngine(CSREngine):
     __slots__ = ()
 
     def __init__(self, *args, **kwargs) -> None:
-        if os.environ.get("KH_CORE_NATIVE_WARMUP", "1") not in ("", "0"):
-            from repro.traversal.native_bfs import warmup_kernels
+        from repro.traversal.native_bfs import warmup_kernels
 
-            warmup_kernels()
+        warmup_kernels()
         super().__init__(*args, **kwargs)
 
     def _make_scratch(self):
@@ -676,7 +681,6 @@ GraphLike = Union[Graph, FrozenGraphView]
 
 
 def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
-                   csr_threshold: Optional[int] = None,
                    relabel: Optional[str] = None,
                    storage: str = "auto",
                    storage_dir: Optional[str] = None) -> Engine:
@@ -685,15 +689,7 @@ def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
     ``backend`` may be one of the names in :data:`BACKENDS` or an
     already-constructed engine (useful to amortize a CSR build across
     several decompositions of the same graph).  ``"auto"`` climbs the
-    engine ladder as far as the graph and the installed extras allow: the
-    compiled native engine for integer-friendly graphs clearing the native
-    size threshold (when Numba is importable), the vectorized NumPy engine
-    above the NumPy threshold (when NumPy is importable), the interpreted
-    CSR engine for smaller integer-friendly graphs, and the dict reference
-    engine otherwise; ``csr_threshold`` overrides the minimum vertex count
-    for the CSR choice (default: the ``KH_CORE_CSR_THRESHOLD`` environment
-    variable, with ``KH_CORE_NUMPY_THRESHOLD`` / ``KH_CORE_NATIVE_THRESHOLD``
-    gating the step-ups).
+    fixed engine ladder of :func:`resolved_backend_name`.
 
     ``relabel`` applies a cache-locality vertex permutation at CSR build
     time (``"degree"`` / ``"bfs"`` — see
@@ -737,7 +733,7 @@ def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
             )
         return backend
     # Single source of truth for name validation and the "auto" policy.
-    name = resolved_backend_name(graph, backend, csr_threshold)
+    name = resolved_backend_name(graph, backend)
     # A frozen view carries its snapshot: hand it straight to the engine
     # (its version property matches the snapshot's stamp, so the supplied-
     # snapshot validation passes) instead of rebuilding the arrays.
@@ -783,37 +779,29 @@ def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
                      storage=storage, storage_dir=storage_dir)
 
 
-def resolved_backend_name(graph: GraphLike, backend: Union[str, Engine],
-                          csr_threshold: Optional[int] = None) -> str:
+def resolved_backend_name(graph: GraphLike,
+                          backend: Union[str, Engine]) -> str:
     """Return the concrete backend name ``backend`` resolves to for ``graph``.
 
     Cheap (no engine is built): used by the CLI to surface which backend an
     ``"auto"`` request actually selected.  The ``"auto"`` ladder: dict for
-    graphs that are not integer-friendly or below the CSR threshold, then
-    native when Numba is importable and the graph clears the native size
-    threshold, then numpy when NumPy is importable and the graph clears
-    the NumPy size threshold, csr otherwise.  A frozen CSR view skips the
-    suitability probe — its arrays already exist, so ``"auto"`` never
-    falls back to dict for it.
+    graphs that are not integer-friendly (:func:`csr_suitable`), then native
+    from :data:`NATIVE_AUTO_MIN_VERTICES` vertices when its kernels are
+    available, numpy from :data:`NUMPY_AUTO_MIN_VERTICES` vertices when
+    NumPy is importable, csr otherwise.  A frozen CSR view skips the label
+    probe — its arrays already exist, so ``"auto"`` never falls back to
+    dict for it.
     """
     if isinstance(backend, (DictEngine, CSREngine)):
         return backend.name
     if backend == "auto":
-        if isinstance(graph, FrozenGraphView):
-            if (native_available()
-                    and graph.num_vertices >= resolve_native_threshold()):
-                return "native"
-            if (numpy_available()
-                    and graph.num_vertices >= resolve_numpy_threshold()):
-                return "numpy"
-            return "csr"
-        if not csr_suitable(graph, csr_threshold):
+        if not isinstance(graph, FrozenGraphView) and not csr_suitable(graph):
             return "dict"
         if (native_available()
-                and graph.num_vertices >= resolve_native_threshold()):
+                and graph.num_vertices >= NATIVE_AUTO_MIN_VERTICES):
             return "native"
         if (numpy_available()
-                and graph.num_vertices >= resolve_numpy_threshold()):
+                and graph.num_vertices >= NUMPY_AUTO_MIN_VERTICES):
             return "numpy"
         return "csr"
     if backend in BACKENDS:

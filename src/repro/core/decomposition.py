@@ -33,9 +33,25 @@ from repro.runtime.context import ExecutionContext, scoped_context
 #: Algorithms accepted by :func:`core_decomposition`.
 ALGORITHMS = ("auto", "classic", "naive", "h-BZ", "h-LB", "h-LB+UB")
 
-#: Heuristic used by ``algorithm="auto"``: below this many vertices the
-#: simpler h-LB wins (partitioning overhead dominates), above it h-LB+UB.
-_AUTO_SIZE_THRESHOLD = 2000
+#: Algorithms that peel the dict graph directly and never use an engine.
+DICT_ALGORITHMS = ("classic", "naive")
+
+
+def resolve_algorithm(algorithm: str, h: int) -> str:
+    """Return the concrete algorithm that ``algorithm`` names at distance ``h``.
+
+    ``"auto"`` is one fixed rule: ``classic`` for ``h = 1`` and ``h-LB`` for
+    every ``h >= 2``, whatever the graph size.  h-LB+UB stays selectable by
+    name, but with the default ``S = 1`` it lost to h-LB on every measured
+    graph (see ``docs/architecture.md``).  Other names pass through.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ParameterError(
+            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+        )
+    if algorithm != "auto":
+        return algorithm
+    return "classic" if h == 1 else "h-LB"
 
 
 def core_decomposition(graph: Graph, h: int,
@@ -56,7 +72,8 @@ def core_decomposition(graph: Graph, h: int,
     h:
         Distance threshold.  ``h = 1`` gives the classic core decomposition.
     algorithm:
-        One of ``"auto"`` (pick a sensible algorithm), ``"classic"`` (h = 1
+        One of ``"auto"`` (``classic`` for h = 1, ``h-LB`` for every
+        h >= 2 — see :func:`resolve_algorithm`), ``"classic"`` (h = 1
         only), ``"naive"`` (reference oracle, tiny graphs only), ``"h-BZ"``,
         ``"h-LB"``, or ``"h-LB+UB"``.
     partition_size:
@@ -75,9 +92,12 @@ def core_decomposition(graph: Graph, h: int,
         Graph backend for the generalized algorithms: ``"dict"`` (the
         reference dict-of-sets representation), ``"csr"`` (flat-array CSR
         snapshot with array-based h-bounded BFS — typically several times
-        faster), ``"auto"`` (CSR for integer-friendly graphs, dict
-        otherwise), or a pre-built engine from
-        :func:`repro.core.backends.resolve_engine`.  Both backends return
+        faster), ``"numpy"`` (CSR with vectorized bulk passes; needs NumPy),
+        ``"native"`` (CSR with compiled kernels), ``"auto"`` (dict for
+        graphs with non-``int`` vertex labels; otherwise native from 2048
+        vertices when its kernels are available, numpy from 512 when NumPy
+        is importable, csr below that), or a pre-built engine from
+        :func:`repro.core.backends.resolve_engine`.  Every backend returns
         identical core numbers.  The ``"classic"`` and ``"naive"``
         algorithms always run on the dict reference path — ``classic`` is
         already a flat bucket peeling without any BFS, and ``naive`` exists
@@ -100,10 +120,7 @@ def core_decomposition(graph: Graph, h: int,
     >>> decomposition.degeneracy
     4
     """
-    if algorithm not in ALGORITHMS:
-        raise ParameterError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
+    algorithm = resolve_algorithm(algorithm, h)
     if isinstance(backend, str) and backend not in BACKENDS:
         raise ParameterError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
@@ -117,14 +134,6 @@ def core_decomposition(graph: Graph, h: int,
         sink = context.counters
     else:
         sink = Counters()
-
-    if algorithm == "auto":
-        if h == 1:
-            algorithm = "classic"
-        elif graph.num_vertices <= _AUTO_SIZE_THRESHOLD:
-            algorithm = "h-LB"
-        else:
-            algorithm = "h-LB+UB"
 
     if algorithm == "classic":
         if h != 1:
@@ -162,16 +171,28 @@ def core_decomposition_with_report(graph: Graph, h: int,
     The experiment harness (Tables 3 and 5) is built on this wrapper.  The
     call runs under one execution context, and ``params`` records the
     backend, executor and worker count that context actually used (so a
-    ``backend="auto"`` request reports the engine it resolved to).
+    ``backend="auto"`` request reports the engine it resolved to).  The
+    ``classic`` and ``naive`` algorithms peel the dict graph serially, so
+    they open no context and record ``"dict"`` / ``"serial"``.
     """
+    algorithm = resolve_algorithm(algorithm, h)
     counters = Counters()
     timer = Timer()
-    with timer, scoped_context(graph, context, backend=backend,
-                               executor=executor, num_workers=num_workers,
-                               counters=counters) as ctx:
-        result = core_decomposition(graph, h, algorithm=algorithm,
-                                    partition_size=partition_size,
-                                    counters=counters, context=ctx)
+    if algorithm in DICT_ALGORITHMS:
+        with timer:
+            result = core_decomposition(graph, h, algorithm=algorithm,
+                                        counters=counters, backend=backend,
+                                        executor=executor, context=context)
+        used = {"num_workers": 1, "executor": "serial", "backend": "dict"}
+    else:
+        with timer, scoped_context(graph, context, backend=backend,
+                                   executor=executor, num_workers=num_workers,
+                                   counters=counters) as ctx:
+            result = core_decomposition(graph, h, algorithm=algorithm,
+                                        partition_size=partition_size,
+                                        counters=counters, context=ctx)
+        used = {"num_workers": ctx.num_workers, "executor": ctx.executor,
+                "backend": ctx.backend_name}
     return RunReport(
         algorithm=result.algorithm,
         dataset=dataset_name,
@@ -179,8 +200,5 @@ def core_decomposition_with_report(graph: Graph, h: int,
         seconds=timer.elapsed,
         counters=counters,
         result=result,
-        params={"partition_size": partition_size,
-                "num_workers": ctx.num_workers,
-                "executor": ctx.executor,
-                "backend": ctx.backend_name},
+        params={"partition_size": partition_size, **used},
     )

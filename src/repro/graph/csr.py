@@ -34,41 +34,11 @@ from repro.graph.storage import (
     BLOCK_SUFFIX,
     LazyLabelIndex,
     MmapCSRStorage,
-    _env_threshold,
     estimated_payload_bytes,
     resolve_storage,
     sidecar_safe_label,
     write_block_file,
 )
-
-#: Minimum vertex count for ``backend="auto"`` to choose CSR when no explicit
-#: threshold (keyword or ``KH_CORE_CSR_THRESHOLD`` env var) is given.  Zero
-#: preserves the historical behavior: any integer-vertex graph opts in.
-DEFAULT_CSR_AUTO_THRESHOLD = 0
-
-#: Environment variable overriding :data:`DEFAULT_CSR_AUTO_THRESHOLD`.
-CSR_THRESHOLD_ENV_VAR = "KH_CORE_CSR_THRESHOLD"
-
-#: Minimum vertex count for ``backend="auto"`` to step up from the
-#: pure-Python CSR engine to the vectorized NumPy engine (when NumPy is
-#: importable).  Below this size the per-level NumPy dispatch overhead beats
-#: the win from vectorized frontier expansion; the interpreted CSR loop is
-#: faster on tiny graphs.
-DEFAULT_NUMPY_AUTO_THRESHOLD = 512
-
-#: Environment variable overriding :data:`DEFAULT_NUMPY_AUTO_THRESHOLD`.
-NUMPY_THRESHOLD_ENV_VAR = "KH_CORE_NUMPY_THRESHOLD"
-
-#: Minimum vertex count for ``backend="auto"`` to step up from the NumPy
-#: engine to the compiled native engine (when Numba is importable).  The
-#: compiled kernels beat every interpreter at any size, but on tiny graphs
-#: the whole decomposition is microseconds either way and the first-call
-#: kernel-cache lookup is not worth scheduling; above this size the
-#: frontier-bound workloads the NumPy engine leaves on the table dominate.
-DEFAULT_NATIVE_AUTO_THRESHOLD = 2048
-
-#: Environment variable overriding :data:`DEFAULT_NATIVE_AUTO_THRESHOLD`.
-NATIVE_THRESHOLD_ENV_VAR = "KH_CORE_NATIVE_THRESHOLD"
 
 #: Cache-locality relabeling strategies accepted by
 #: :meth:`CSRGraph.from_graph` (``None`` behaves like ``"none"``).
@@ -524,54 +494,6 @@ def relabel_order(graph: Graph, relabel: Optional[str]) -> List[Vertex]:
     return order
 
 
-def resolve_csr_threshold(min_vertices: Optional[int] = None) -> int:
-    """Resolve the auto-backend size threshold.
-
-    Precedence: explicit ``min_vertices`` keyword, then the
-    ``KH_CORE_CSR_THRESHOLD`` environment variable, then
-    :data:`DEFAULT_CSR_AUTO_THRESHOLD`.  An invalid keyword raises (it is a
-    programming error); an invalid environment value warns and falls back to
-    the default (see :func:`_env_threshold`).
-    """
-    if min_vertices is not None:
-        if min_vertices < 0:
-            raise ParameterError("the CSR auto-backend threshold must be >= 0")
-        return min_vertices
-    return _env_threshold(CSR_THRESHOLD_ENV_VAR, DEFAULT_CSR_AUTO_THRESHOLD)
-
-
-def resolve_numpy_threshold(min_vertices: Optional[int] = None) -> int:
-    """Resolve the minimum size for ``backend="auto"`` to prefer NumPy.
-
-    Same precedence and hardening as :func:`resolve_csr_threshold`, reading
-    ``KH_CORE_NUMPY_THRESHOLD`` and defaulting to
-    :data:`DEFAULT_NUMPY_AUTO_THRESHOLD`.
-    """
-    if min_vertices is not None:
-        if min_vertices < 0:
-            raise ParameterError(
-                "the NumPy auto-backend threshold must be >= 0")
-        return min_vertices
-    return _env_threshold(NUMPY_THRESHOLD_ENV_VAR,
-                          DEFAULT_NUMPY_AUTO_THRESHOLD)
-
-
-def resolve_native_threshold(min_vertices: Optional[int] = None) -> int:
-    """Resolve the minimum size for ``backend="auto"`` to prefer native.
-
-    Same precedence and hardening as :func:`resolve_csr_threshold`, reading
-    ``KH_CORE_NATIVE_THRESHOLD`` and defaulting to
-    :data:`DEFAULT_NATIVE_AUTO_THRESHOLD`.
-    """
-    if min_vertices is not None:
-        if min_vertices < 0:
-            raise ParameterError(
-                "the native auto-backend threshold must be >= 0")
-        return min_vertices
-    return _env_threshold(NATIVE_THRESHOLD_ENV_VAR,
-                          DEFAULT_NATIVE_AUTO_THRESHOLD)
-
-
 def _edge_file_payload_estimate(path: str) -> int:
     """Rough CSR payload estimate for an edge-list file, from its size.
 
@@ -586,19 +508,13 @@ def _edge_file_payload_estimate(path: str) -> int:
         return 0
 
 
-def csr_suitable(graph: Graph, min_vertices: Optional[int] = None) -> bool:
+def csr_suitable(graph: Graph) -> bool:
     """Return True if ``graph`` is "integer-friendly" for the auto backend.
 
     The CSR backend works for any hashable vertex type, but ``backend="auto"``
     only opts in when every vertex is a plain ``int`` (the common case for
     the synthetic generators and SNAP-style edge lists), where the relabeling
-    layer is guaranteed cheap and lossless — and when the graph has at least
-    ``min_vertices`` vertices, so tiny graphs can skip the snapshot build
-    cost.  The threshold defaults to the ``KH_CORE_CSR_THRESHOLD``
-    environment variable, falling back to
-    :data:`DEFAULT_CSR_AUTO_THRESHOLD` (see :func:`resolve_csr_threshold`).
-    Explicit ``backend="csr"`` requests bypass this gate entirely.
+    layer is guaranteed cheap and lossless.  Explicit ``backend="csr"``
+    requests bypass this gate entirely.
     """
-    if graph.num_vertices < resolve_csr_threshold(min_vertices):
-        return False
     return all(type(v) is int for v in graph.vertices())

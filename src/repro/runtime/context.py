@@ -57,12 +57,10 @@ class ExecutionContext:
         Backend name (``"dict"`` / ``"csr"`` / ``"numpy"`` / ``"native"`` /
         ``"auto"``) or a pre-built engine.  Name-resolved engines are
         *owned*: :meth:`close` tears them down.  A supplied engine is
-        borrowed and never closed.  ``"auto"`` prefers the compiled native
-        engine when Numba is importable and the graph clears the
-        ``KH_CORE_NATIVE_THRESHOLD`` size gate, then the vectorized NumPy
-        engine above ``KH_CORE_NUMPY_THRESHOLD``, stepping down to the
-        interpreted CSR engine (and ultimately the dict engine)
-        transparently.
+        borrowed and never closed.  ``"auto"`` climbs the fixed engine
+        ladder of :func:`~repro.core.backends.resolved_backend_name`
+        (dict for non-``int`` vertex labels, then native, numpy or csr by
+        size and installed extras).
     executor:
         Scheduler for the bulk h-degree passes (``"serial"`` / ``"thread"``
         / ``"process"``).
@@ -73,9 +71,6 @@ class ExecutionContext:
     peel:
         Peel-state layout: ``"auto"`` (array on CSR, dict otherwise),
         ``"dict"``, or ``"array"`` (CSR only).
-    csr_threshold:
-        Minimum vertex count for ``backend="auto"`` to pick CSR (defaults to
-        the ``KH_CORE_CSR_THRESHOLD`` environment variable).
     relabel:
         Optional cache-locality vertex permutation applied when the context
         builds a CSR-family engine from a name: ``"degree"`` (hubs first)
@@ -109,7 +104,6 @@ class ExecutionContext:
                  num_workers: Optional[int] = None,
                  counters: Counters = NULL_COUNTERS,
                  peel: str = "auto",
-                 csr_threshold: Optional[int] = None,
                  relabel: Optional[str] = None,
                  storage: str = "auto",
                  storage_dir: Optional[str] = None) -> None:
@@ -126,8 +120,8 @@ class ExecutionContext:
         self.num_workers = 1 if num_workers is None else num_workers
         self.counters = counters
         self.peel = peel
-        self.engine = resolve_engine(graph, backend, csr_threshold,
-                                     relabel=relabel, storage=storage,
+        self.engine = resolve_engine(graph, backend, relabel=relabel,
+                                     storage=storage,
                                      storage_dir=storage_dir)
         #: True when the context resolved the engine from a name and is
         #: therefore responsible for tearing it down; False for

@@ -175,8 +175,7 @@ _WARMED = False
 def warmup_kernels() -> None:
     """Force JIT compilation (or cache load) of both kernels, once.
 
-    Engines call this at construction (gated by ``KH_CORE_NATIVE_WARMUP``)
-    so the first *measured* traversal runs at steady-state speed — compile
+    Engines call this at construction so the first *measured* traversal runs at steady-state speed — compile
     latency must never pollute benchmarks, and with ``cache=True`` the cost
     after the first process on a machine is a cache read, not a compile.
     Idempotent and cheap to re-call.

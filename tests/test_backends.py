@@ -367,106 +367,96 @@ class TestBulkHDegrees:
 
 
 class TestCSRAutoThreshold:
-    """The csr_suitable size gate: keyword > env var > default."""
+    """The csr_suitable gate: an int-label probe with no size threshold."""
 
     def test_keyword_threshold(self):
-        g = path_graph(4)
-        assert csr_suitable(g, min_vertices=0)
-        assert csr_suitable(g, min_vertices=4)
-        assert not csr_suitable(g, min_vertices=5)
+        # The size keyword is gone: every int-labelled graph is suitable.
+        assert csr_suitable(path_graph(1))
+        assert csr_suitable(path_graph(4))
+        with pytest.raises(TypeError):
+            csr_suitable(path_graph(4), min_vertices=5)
 
     def test_env_var_threshold(self, monkeypatch):
+        # The deleted KH_CORE_CSR_THRESHOLD no longer moves the gate.
         g = path_graph(4)
         monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "100")
-        assert not csr_suitable(g)
-        assert isinstance(resolve_engine(g, "auto"), DictEngine)
-        monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "4")
         assert csr_suitable(g)
         assert isinstance(resolve_engine(g, "auto"), CSREngine)
 
-    def test_keyword_overrides_env_var(self, monkeypatch):
-        monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "100")
-        assert csr_suitable(path_graph(4), min_vertices=0)
-
-    def test_explicit_csr_request_bypasses_threshold(self, monkeypatch):
-        monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "100")
-        assert isinstance(resolve_engine(path_graph(4), "csr"), CSREngine)
-
-    def test_invalid_env_var_warns_and_falls_back(self, monkeypatch):
-        # Invalid deployment values degrade to the default policy instead of
-        # crashing every decomposition entry point (PR 5 hardening).
-        monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "many")
-        with pytest.warns(RuntimeWarning, match="not an integer"):
-            assert csr_suitable(path_graph(4))
-        monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "-3")
-        with pytest.warns(RuntimeWarning, match="must be >= 0"):
-            assert csr_suitable(path_graph(4))
+    def test_explicit_csr_request_bypasses_threshold(self):
+        g = Graph([("a", "b"), ("b", "c")])
+        assert not csr_suitable(g)
+        assert isinstance(resolve_engine(g, "auto"), DictEngine)
+        assert isinstance(resolve_engine(g, "csr"), CSREngine)
 
     def test_negative_keyword_rejected(self):
-        with pytest.raises(ParameterError):
-            csr_suitable(path_graph(4), min_vertices=-1)
+        from repro.runtime import ExecutionContext
+
+        graph = path_graph(4)
+        with pytest.raises(TypeError):
+            resolve_engine(graph, "auto", csr_threshold=0)
+        with pytest.raises(TypeError):
+            ExecutionContext(graph, csr_threshold=0)
 
     def test_resolved_backend_name(self, monkeypatch):
+        from repro.core import backends
         from repro.core.backends import resolved_backend_name
         g = path_graph(4)
         assert resolved_backend_name(g, "auto") == "csr"
         assert resolved_backend_name(g, "dict") == "dict"
         assert resolved_backend_name(g, CSREngine(g)) == "csr"
-        monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "100")
-        assert resolved_backend_name(g, "auto") == "dict"
+        strings = Graph([("a", "b")])
+        assert resolved_backend_name(strings, "auto") == "dict"
+        monkeypatch.setattr(backends, "numpy_available", lambda: True)
+        monkeypatch.setattr(backends, "NUMPY_AUTO_MIN_VERTICES", 4)
+        assert resolved_backend_name(g, "auto") == "numpy"
+        assert resolved_backend_name(strings, "auto") == "dict"
         with pytest.raises(ParameterError):
             resolved_backend_name(g, "gpu")
 
 
 class TestNumpyAutoThreshold:
-    """KH_CORE_NUMPY_THRESHOLD: the auto ladder's numpy step-up gate."""
+    """NUMPY_AUTO_MIN_VERTICES: the auto ladder's numpy step-up gate."""
 
-    def test_default_and_keyword(self):
-        from repro.graph.csr import (
-            DEFAULT_NUMPY_AUTO_THRESHOLD,
-            resolve_numpy_threshold,
-        )
+    def test_default_and_keyword(self, monkeypatch):
+        from repro.core import backends
+        from repro.core.backends import resolved_backend_name
 
-        assert resolve_numpy_threshold() == DEFAULT_NUMPY_AUTO_THRESHOLD
-        assert resolve_numpy_threshold(7) == 7
-        with pytest.raises(ParameterError):
-            resolve_numpy_threshold(-1)
+        assert backends.NUMPY_AUTO_MIN_VERTICES == 512
+        assert backends.NATIVE_AUTO_MIN_VERTICES == 2048
+        monkeypatch.setattr(backends, "numpy_available", lambda: True)
+        monkeypatch.setattr(backends, "native_available", lambda: False)
+        assert resolved_backend_name(path_graph(511), "auto") == "csr"
+        assert resolved_backend_name(path_graph(512), "auto") == "numpy"
 
     def test_env_var_overrides_default(self, monkeypatch):
-        from repro.graph.csr import resolve_numpy_threshold
+        # The deleted KH_CORE_NUMPY_THRESHOLD is ignored; only the module
+        # constant moves the gate.
+        from repro.core import backends
+        from repro.core.backends import resolved_backend_name
 
+        monkeypatch.setattr(backends, "numpy_available", lambda: True)
+        monkeypatch.setattr(backends, "native_available", lambda: False)
         monkeypatch.setenv("KH_CORE_NUMPY_THRESHOLD", "9000")
-        assert resolve_numpy_threshold() == 9000
-        # The keyword still wins over the environment.
-        assert resolve_numpy_threshold(3) == 3
-
-    def test_invalid_env_var_warns_and_falls_back(self, monkeypatch):
-        from repro.graph.csr import (
-            DEFAULT_NUMPY_AUTO_THRESHOLD,
-            resolve_numpy_threshold,
-        )
-
-        monkeypatch.setenv("KH_CORE_NUMPY_THRESHOLD", "huge")
-        with pytest.warns(RuntimeWarning, match="not an integer"):
-            assert (resolve_numpy_threshold()
-                    == DEFAULT_NUMPY_AUTO_THRESHOLD)
-        monkeypatch.setenv("KH_CORE_NUMPY_THRESHOLD", "-2")
-        with pytest.warns(RuntimeWarning, match="must be >= 0"):
-            assert (resolve_numpy_threshold()
-                    == DEFAULT_NUMPY_AUTO_THRESHOLD)
+        assert resolved_backend_name(path_graph(600), "auto") == "numpy"
+        monkeypatch.setattr(backends, "NUMPY_AUTO_MIN_VERTICES", 9000)
+        assert resolved_backend_name(path_graph(600), "auto") == "csr"
 
     def test_invalid_env_var_does_not_break_auto_resolution(self,
                                                             monkeypatch):
-        """A typo in the deployment env degrades to the default policy."""
+        """A leftover value of a deleted knob is ignored, without a warning."""
+        import warnings
+
         from repro.core import backends
 
-        # Force the ladder to consult the numpy threshold even when NumPy
-        # is not installed (the fallback default keeps a 4-vertex graph on
-        # CSR either way, so no NumpyEngine is ever built).
+        # Force the ladder to consult the numpy gate even when NumPy is not
+        # installed (a 4-vertex graph stays on CSR either way, so no
+        # NumpyEngine is ever built).
         monkeypatch.setattr(backends, "numpy_available", lambda: True)
         monkeypatch.setenv("KH_CORE_NUMPY_THRESHOLD", "not-a-number")
         g = path_graph(4)
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             engine = resolve_engine(g, "auto")
         assert isinstance(engine, CSREngine)
 

@@ -120,11 +120,27 @@ class TestVerboseBackend:
         err = capsys.readouterr().err
         assert "# backend: csr (requested: auto)" in err
 
-    def test_verbose_respects_csr_threshold(self, edge_list_file, capsys):
-        exit_code = main([str(edge_list_file), "--h", "2", "--verbose",
-                          "--csr-threshold", "1000"])
-        assert exit_code == 0
-        assert "# backend: dict (requested: auto)" in capsys.readouterr().err
+    def test_csr_threshold_flag_is_a_usage_error(self, capsys):
+        # --csr-threshold was removed in 0.13.0: argparse rejects it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--demo", "--h", "2", "--csr-threshold", "5"])
+        assert excinfo.value.code == 2
+        assert "--csr-threshold" in capsys.readouterr().err
+
+    def test_h1_runs_classic_on_dict_without_an_engine(self, capsys,
+                                                        monkeypatch):
+        from repro.graph.csr import CSRGraph
+
+        builds = []
+        original = CSRGraph.from_graph.__func__
+        monkeypatch.setattr(CSRGraph, "from_graph", classmethod(
+            lambda cls, *a, **k: builds.append(1) or original(cls, *a, **k)))
+        assert main(["--demo", "--h", "1", "--verbose"]) == 0
+        err = capsys.readouterr().err
+        assert "# algorithm: classic-BZ" in err
+        assert "# backend: dict (requested: auto)" in err
+        assert "# executor: serial, workers: 1" in err
+        assert builds == []
 
     def test_quiet_by_default(self, edge_list_file, capsys):
         main([str(edge_list_file), "--h", "2"])
@@ -252,7 +268,9 @@ class TestNumpyBackendFlags:
 
         if not numpy_available():
             pytest.skip("NumPy not installed")
-        monkeypatch.setenv("KH_CORE_NUMPY_THRESHOLD", "0")
+        from repro.core import backends
+
+        monkeypatch.setattr(backends, "NUMPY_AUTO_MIN_VERTICES", 0)
         assert main([str(edge_list_file), "--h", "2", "--verbose"]) == 0
         assert "# backend: numpy (requested: auto)" in capsys.readouterr().err
 

@@ -397,21 +397,25 @@ class TestEngineResolution:
         assert engine.name == "native"
 
     def test_auto_prefers_native_above_threshold(self, monkeypatch):
+        from repro.core import backends
+
         graph = gen.cycle_graph(40)
-        monkeypatch.setenv("KH_CORE_NATIVE_THRESHOLD", "0")
+        monkeypatch.setattr(backends, "NATIVE_AUTO_MIN_VERTICES", 0)
         assert resolved_backend_name(graph, "auto") == "native"
         assert isinstance(resolve_engine(graph, "auto"), NativeEngine)
-        monkeypatch.setenv("KH_CORE_NATIVE_THRESHOLD", "100")
-        monkeypatch.setenv("KH_CORE_NUMPY_THRESHOLD", "100")
+        monkeypatch.setattr(backends, "NATIVE_AUTO_MIN_VERTICES", 100)
+        monkeypatch.setattr(backends, "NUMPY_AUTO_MIN_VERTICES", 100)
         assert resolved_backend_name(graph, "auto") == "csr"
 
     def test_auto_ladder_native_sits_above_numpy(self, monkeypatch):
         """Between the two thresholds auto picks numpy, above both native."""
+        from repro.core import backends
+
         graph = gen.cycle_graph(50)
-        monkeypatch.setenv("KH_CORE_NUMPY_THRESHOLD", "10")
-        monkeypatch.setenv("KH_CORE_NATIVE_THRESHOLD", "100")
+        monkeypatch.setattr(backends, "NUMPY_AUTO_MIN_VERTICES", 10)
+        monkeypatch.setattr(backends, "NATIVE_AUTO_MIN_VERTICES", 100)
         assert resolved_backend_name(graph, "auto") == "numpy"
-        monkeypatch.setenv("KH_CORE_NATIVE_THRESHOLD", "10")
+        monkeypatch.setattr(backends, "NATIVE_AUTO_MIN_VERTICES", 10)
         assert resolved_backend_name(graph, "auto") == "native"
 
     def test_warmup_runs_at_construction_by_default(self, monkeypatch):
@@ -420,22 +424,8 @@ class TestEngineResolution:
         calls = []
         monkeypatch.setattr(native_bfs, "warmup_kernels",
                             lambda: calls.append(1))
-        monkeypatch.delenv("KH_CORE_NATIVE_WARMUP", raising=False)
         NativeEngine(gen.cycle_graph(6))
         assert calls == [1]
-
-    def test_warmup_flag_disables_the_prewarm(self, monkeypatch):
-        from repro.traversal import native_bfs
-
-        calls = []
-        monkeypatch.setattr(native_bfs, "warmup_kernels",
-                            lambda: calls.append(1))
-        monkeypatch.setenv("KH_CORE_NATIVE_WARMUP", "0")
-        engine = NativeEngine(gen.cycle_graph(6))
-        assert calls == []
-        # The engine still answers correctly (kernels compile on first use).
-        assert _label_degrees(engine, 2) == _label_degrees(
-            DictEngine(engine.graph), 2)
 
     def test_warmup_is_idempotent(self):
         from repro.traversal.native_bfs import warmup_kernels
@@ -493,8 +483,7 @@ class TestWithoutNative:
         from repro.core import backends
 
         monkeypatch.setattr(backends, "native_available", lambda: False)
-        monkeypatch.setenv("KH_CORE_NATIVE_THRESHOLD", "0")
-        monkeypatch.setenv("KH_CORE_NUMPY_THRESHOLD", "10**9")
+        monkeypatch.setattr(backends, "NATIVE_AUTO_MIN_VERTICES", 0)
         graph = gen.cycle_graph(40)
         assert resolved_backend_name(graph, "auto") in ("csr", "numpy")
         engine = resolve_engine(graph, "auto")

@@ -368,11 +368,13 @@ class TestEngineResolution:
         assert engine.name == "numpy"
 
     def test_auto_prefers_numpy_above_threshold(self, monkeypatch):
+        from repro.core import backends
+
         graph = gen.cycle_graph(40)
-        monkeypatch.setenv("KH_CORE_NUMPY_THRESHOLD", "0")
+        monkeypatch.setattr(backends, "NUMPY_AUTO_MIN_VERTICES", 0)
         assert resolved_backend_name(graph, "auto") == "numpy"
         assert isinstance(resolve_engine(graph, "auto"), NumpyEngine)
-        monkeypatch.setenv("KH_CORE_NUMPY_THRESHOLD", "100")
+        monkeypatch.setattr(backends, "NUMPY_AUTO_MIN_VERTICES", 100)
         assert resolved_backend_name(graph, "auto") == "csr"
         engine = resolve_engine(graph, "auto")
         assert isinstance(engine, CSREngine)
@@ -455,7 +457,7 @@ class TestWithoutNumpy:
         from repro.core import backends
 
         monkeypatch.setattr(backends, "numpy_available", lambda: False)
-        monkeypatch.setenv("KH_CORE_NUMPY_THRESHOLD", "0")
+        monkeypatch.setattr(backends, "NUMPY_AUTO_MIN_VERTICES", 0)
         graph = gen.cycle_graph(40)
         assert resolved_backend_name(graph, "auto") == "csr"
         engine = resolve_engine(graph, "auto")

@@ -9,9 +9,16 @@ from repro.core import (
     core_decomposition,
     core_decomposition_with_report,
 )
+from repro.core.decomposition import resolve_algorithm
 from repro.errors import InvalidDistanceThresholdError, ParameterError
 from repro.graph import Graph
-from repro.graph.generators import complete_graph, cycle_graph, erdos_renyi_graph, star_graph
+from repro.graph.generators import (
+    barabasi_albert_graph,
+    complete_graph,
+    cycle_graph,
+    erdos_renyi_graph,
+    star_graph,
+)
 from repro.instrumentation import Counters
 
 
@@ -107,6 +114,38 @@ class TestFacade:
     def test_auto_dispatch_small_graph(self):
         result = core_decomposition(cycle_graph(6), 2)
         assert result.algorithm == "h-LB"
+
+    def test_auto_dispatch_large_graph_is_h_lb(self):
+        # No size switch: auto stays on h-LB above the old 2000-vertex cut.
+        graph = cycle_graph(2100)
+        result = core_decomposition(graph, 2)
+        assert result.algorithm == "h-LB"
+        assert result.core_index == core_decomposition(
+            graph, 2, algorithm="h-LB+UB").core_index
+
+    def test_resolve_algorithm_rule(self):
+        assert resolve_algorithm("auto", 1) == "classic"
+        for h in (2, 3, 7):
+            assert resolve_algorithm("auto", h) == "h-LB"
+        assert resolve_algorithm("h-LB+UB", 2) == "h-LB+UB"
+        with pytest.raises(ParameterError):
+            resolve_algorithm("fastest", 2)
+
+    @pytest.mark.parametrize("algorithm", ["auto", "classic"])
+    def test_h1_report_builds_no_engine(self, algorithm, monkeypatch):
+        from repro.graph.csr import CSRGraph
+
+        graph = barabasi_albert_graph(3000, 3, seed=1)
+        builds = []
+        original = CSRGraph.from_graph.__func__
+        monkeypatch.setattr(CSRGraph, "from_graph", classmethod(
+            lambda cls, *a, **k: builds.append(1) or original(cls, *a, **k)))
+        report = core_decomposition_with_report(graph, 1,
+                                                algorithm=algorithm)
+        assert report.result.algorithm == "classic-BZ"
+        assert report.params["backend"] == "dict"
+        assert report.params["executor"] == "serial"
+        assert builds == []
 
     def test_all_algorithms_listed(self):
         assert set(ALGORITHMS) == {"auto", "classic", "naive", "h-BZ", "h-LB", "h-LB+UB"}

@@ -72,7 +72,7 @@ class TestExecutionContext:
         assert ctx.closed
 
     def test_auto_backend_picks_csr_for_integer_graph(self, graph):
-        with ExecutionContext(graph, backend="auto", csr_threshold=0) as ctx:
+        with ExecutionContext(graph, backend="auto") as ctx:
             assert ctx.backend_name == "csr"
 
     def test_close_is_idempotent(self, graph):

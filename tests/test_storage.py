@@ -173,6 +173,16 @@ class TestResolveStorage:
         assert resolve_storage("auto", 101) == "mmap"
         assert resolve_storage("auto", 99) == "ram"
 
+    def test_invalid_env_var_warns_and_falls_back(self, monkeypatch):
+        # A typo in the deployment env degrades to the default gate instead
+        # of crashing every decomposition entry point.
+        monkeypatch.setenv("KH_CORE_MMAP_THRESHOLD", "many")
+        with pytest.warns(RuntimeWarning, match="not an integer"):
+            assert resolve_storage("auto", 1024) == "ram"
+        monkeypatch.setenv("KH_CORE_MMAP_THRESHOLD", "-3")
+        with pytest.warns(RuntimeWarning, match="must be >= 0"):
+            assert resolve_storage("auto", DEFAULT_MMAP_AUTO_THRESHOLD) == "mmap"
+
     def test_unknown_storage_rejected(self):
         with pytest.raises(ParameterError):
             resolve_storage("disk", 0)
