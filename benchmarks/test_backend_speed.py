@@ -14,9 +14,10 @@ per-call overhead dominates both backends and the CSR advantage shrinks to
 ~1.5x.  The hub-heavy preferential-attachment graph is where the flat-array
 layout pays off, and is deliberately the largest entry.
 
-The >= 2x assert carries the ``bench`` marker
-(``test_csr_speedup_on_largest_synthetic_graph_gate``; run it with ``-m
-bench``); its correctness half runs by default.
+The wall-clock asserts carry the ``bench`` marker
+(``test_csr_speedup_on_largest_synthetic_graph_gate`` and
+``test_backends_agree_and_csr_not_slower_gate``; run them with ``-m
+bench``); their correctness halves run by default.
 """
 
 from __future__ import annotations
@@ -55,6 +56,16 @@ def _time_once(function) -> float:
 @pytest.mark.parametrize("name,builder", BATTERY[:-1],
                          ids=[name for name, _ in BATTERY[:-1]])
 def test_backends_agree_and_csr_not_slower(name, builder):
+    """Correctness half of the smaller-graph gate: identical h-BZ cores."""
+    graph = builder()
+    assert h_bz(graph, H, backend="csr").core_index == \
+        h_bz(graph, H, backend="dict").core_index
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("name,builder", BATTERY[:-1],
+                         ids=[name for name, _ in BATTERY[:-1]])
+def test_backends_agree_and_csr_not_slower_gate(name, builder):
     """Smaller generator graphs: identical cores, CSR at least on par."""
     graph = builder()
     dict_seconds = _time_once(lambda: h_bz(graph, H, backend="dict"))

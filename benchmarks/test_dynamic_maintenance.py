@@ -19,9 +19,10 @@ h-neighborhoods make locality visible, and |V| is large enough that a full
 recomputation costs tens of milliseconds.  Set ``KH_CORE_BENCH_QUICK=1``
 (the CI smoke mode) to shrink the graph and the stream.
 
-The stream-replay speedup assert carries the ``bench`` marker
-(``test_update_stream_beats_recompute_per_update_gate``; run it with ``-m
-bench``); its correctness half runs by default on the quick-mode stream.
+The speedup asserts carry the ``bench`` marker
+(``test_single_edge_updates_beat_full_recomputation_gate`` and
+``test_update_stream_beats_recompute_per_update_gate``; run them with ``-m
+bench``); their correctness halves run by default on the quick-mode grid.
 """
 
 from __future__ import annotations
@@ -68,6 +69,18 @@ def _full_seconds(graph) -> float:
 
 
 def test_single_edge_updates_beat_full_recomputation():
+    """Correctness half of the single-update gate: incremental and exact."""
+    graph = road_network_graph(QUICK_GRID_SIDE, QUICK_GRID_SIDE, seed=0)
+    engine = DynamicKHCore(graph.copy(), h=H)
+    deletions = random_update_stream(graph, 30, insert_fraction=0.0, seed=1)
+    modes = [engine.apply(*update).mode for update in deletions]
+    assert modes.count(MODE_INCREMENTAL) > len(modes) // 2
+    assert engine.core_numbers() == core_decomposition(engine.graph,
+                                                       H).core_index
+
+
+@pytest.mark.bench
+def test_single_edge_updates_beat_full_recomputation_gate():
     """Median incremental single-edge update must be >= 5x faster."""
     graph = benchmark_graph()
     full_seconds = _full_seconds(graph)

@@ -21,7 +21,10 @@ the artifact):
    batches that dirty too much of the index; see
    ``docs/architecture.md``).
 
-Set ``KH_CORE_BENCH_QUICK=1`` to shrink the graph and the query volume.
+Both wall-clock asserts carry the ``bench`` marker (the ``*_gate`` tests;
+run them with ``-m bench``); their correctness halves run by default on
+tiny graphs.  Set ``KH_CORE_BENCH_QUICK=1`` to shrink the graph and the
+query volume.
 """
 
 from __future__ import annotations
@@ -84,6 +87,23 @@ def _pick_vertices(graph, count):
 
 
 def test_index_queries_beat_recomputation(tmp_path):
+    """Correctness half of the query gate: index reads equal fresh peels."""
+    graph = load_dataset("caHe", scale="tiny", seed=0)
+    path = str(tmp_path / "bench.khidx")
+    build_index(graph, path, h_values=H_VALUES)
+    layers = {h: core_decomposition(graph, h).core_index for h in H_VALUES}
+    k_probe = max(1, max(layers[2].values()) - 1)
+    with CoreIndexReader(path) as reader:
+        for v in _pick_vertices(graph, 8):
+            assert reader.core_number(v, 2) == layers[2][v]
+            assert reader.spectrum(v) == [(h, layers[h][v])
+                                          for h in H_VALUES]
+            assert reader.membership_threshold(v, k_probe) == next(
+                (h for h in H_VALUES if layers[h][v] >= k_probe), None)
+
+
+@pytest.mark.bench
+def test_index_queries_beat_recomputation_gate(tmp_path):
     """Per-query speedup of index reads over from-scratch peels."""
     _xdist_guard()
     graph = benchmark_graph()
@@ -185,6 +205,25 @@ def _local_churn_deletions(graph, count):
 
 
 def test_incremental_refresh_beats_rebuild(tmp_path):
+    """Correctness half of the refresh gate: refreshed layers are exact."""
+    graph = load_dataset("rnPA", scale="tiny", seed=0)
+    updates = _local_churn_deletions(graph, 2 * BATCH_SIZE)
+    path = str(tmp_path / "incremental.khidx")
+    build_index(graph.copy(), path, h_values=H_VALUES)
+    with IndexRefresher(path, staleness_ratio=1.0) as refresher:
+        for offset in range(0, len(updates), BATCH_SIZE):
+            summary = refresher.apply_batch(updates[offset:offset + BATCH_SIZE])
+            assert summary.mode in ("incremental", "noop")
+    for _, u, v in updates:
+        graph.remove_edge(u, v)
+    with CoreIndexReader(path) as reader:
+        for h in H_VALUES:
+            assert reader.core_map(h) == core_decomposition(graph,
+                                                            h).core_index
+
+
+@pytest.mark.bench
+def test_incremental_refresh_beats_rebuild_gate(tmp_path):
     """Small batches: dirty-row refresh vs whole-index rebuild."""
     _xdist_guard()
     graph = load_dataset("rnPA", scale=REFRESH_SCALE, seed=0)

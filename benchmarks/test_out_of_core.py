@@ -16,7 +16,11 @@ the artifact):
    cores and removal orders are identical and the mmap wall-clock overhead
    stays under ``MAX_MMAP_OVERHEAD``×.
 
-Set ``KH_CORE_BENCH_QUICK=1`` to shrink the graphs and the budgets.
+Both asserted gates carry the ``bench`` marker (the ``*_gate`` tests; run
+them with ``-m bench``): they time and measure RSS, and the streaming load
+alone takes tens of seconds.  Their correctness halves run by default on
+small inputs.  Set ``KH_CORE_BENCH_QUICK=1`` to shrink the graphs and the
+budgets.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.core import core_decomposition
 from repro.datasets import load_dataset
-from repro.graph import FrozenGraphView
+from repro.graph import FrozenGraphView, read_edge_list
 from repro.graph.csr import CSRGraph
-from repro.graph.storage import estimated_payload_bytes
+from repro.graph.storage import estimated_payload_bytes, load_csr
 
 from bench_utils import write_bench_json  # noqa: E402
 
@@ -97,7 +102,31 @@ def _write_edge_file(path: str, n: int, m: int, seed: int = 0) -> None:
             handle.write(f"{rng.randrange(n)} {rng.randrange(n)}\n")
 
 
-def test_streaming_load_rss_stays_within_budget(tmp_path):
+def test_streaming_load_rss_stays_within_budget(tmp_path, capsys):
+    """Correctness half of the RSS gate: ``kh-core load`` on a small file
+    (spilling under a tiny budget) builds exactly the in-RAM snapshot."""
+    source = str(tmp_path / "small.edges")
+    _write_edge_file(source, 1000, 4000)
+    out = str(tmp_path / "small.khcsr")
+    assert main(["load", source, "--out", out, "--max-ram-bytes", "4096",
+                 "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    reference = CSRGraph.from_graph(read_edge_list(source))
+    assert stats["identity_labels"]
+    assert stats["spill_runs"] > 1
+    assert (stats["vertices"], stats["edges"]) == (reference.num_vertices,
+                                                   reference.num_edges)
+    block = load_csr(out)
+    try:
+        assert list(block.labels) == list(reference.labels)
+        assert list(block.indptr) == list(reference.indptr)
+        assert list(block.adjacency) == list(reference.adjacency)
+    finally:
+        block.close()
+
+
+@pytest.mark.bench
+def test_streaming_load_rss_stays_within_budget_gate(tmp_path):
     _xdist_guard()
     source = str(tmp_path / "big.edges")
     _write_edge_file(source, LOAD_VERTICES, LOAD_EDGES)
@@ -162,6 +191,23 @@ def test_streaming_load_rss_stays_within_budget(tmp_path):
 
 
 def test_mmap_decomposition_matches_ram_and_stays_cheap(tmp_path):
+    """Correctness half of the overhead gate: identical cores and orders."""
+    graph = load_dataset("caHe", scale="small", seed=0)
+    ram = CSRGraph.from_graph(graph, storage="ram")
+    mmap_csr = CSRGraph.from_graph(
+        graph, storage="mmap", storage_dir=str(tmp_path))
+    try:
+        for h in H_VALUES:
+            from_ram = core_decomposition(FrozenGraphView(ram), h=h)
+            from_mmap = core_decomposition(FrozenGraphView(mmap_csr), h=h)
+            assert from_ram.core_index == from_mmap.core_index
+            assert from_ram.removal_order == from_mmap.removal_order
+    finally:
+        mmap_csr.close()
+
+
+@pytest.mark.bench
+def test_mmap_decomposition_matches_ram_and_stays_cheap_gate(tmp_path):
     _xdist_guard()
     graph = load_dataset("caHe", scale=OVERHEAD_SCALE, seed=0)
     ram = CSRGraph.from_graph(graph, storage="ram")

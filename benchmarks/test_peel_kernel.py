@@ -26,9 +26,11 @@ Two claims are asserted, not assumed:
    is a second-order cost.  These rows are reported for visibility; the
    guard only catches the array path regressing *below* the dict twin.
 
-The hub-workload speedup assert carries the ``bench`` marker
-(``test_array_peel_speedup_on_hub_workload_gate``; run it with ``-m
-bench``); its correctness half runs by default on the quick-mode star.
+Both wall-clock asserts carry the ``bench`` marker
+(``test_array_peel_speedup_on_hub_workload_gate`` and
+``test_array_peel_not_slower_on_sparse_workloads_gate``; run them with
+``-m bench``); their correctness halves run by default (the hub one on the
+quick-mode star).
 
 Set ``KH_CORE_BENCH_QUICK=1`` (the CI smoke mode) to shrink the graphs.
 The quick-mode bar for claim 1 is relaxed (see ``REQUIRED_SPEEDUP_QUICK``):
@@ -148,6 +150,16 @@ def test_array_peel_speedup_on_hub_workload_gate():
 @pytest.mark.parametrize("name,builder,h", SPARSE_BATTERY,
                          ids=[name for name, _, _ in SPARSE_BATTERY])
 def test_array_peel_not_slower_on_sparse_workloads(name, builder, h):
+    """Correctness half of the sparse gate: both peel states, same cores."""
+    graph = builder()
+    assert (_run_once(graph, h, "array")[1].core_index
+            == _run_once(graph, h, "dict")[1].core_index)
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("name,builder,h", SPARSE_BATTERY,
+                         ids=[name for name, _, _ in SPARSE_BATTERY])
+def test_array_peel_not_slower_on_sparse_workloads_gate(name, builder, h):
     """BFS-bound graphs: identical cores, array at worst on par with dict."""
     if os.environ.get("PYTEST_XDIST_WORKER"):
         pytest.skip("wall-clock ratios are meaningless under xdist")

@@ -14,11 +14,12 @@ Expected output (a few seconds): the graph summary; one timing line per
 executor for the bulk deg^h pass, each ending in "identical: True"
 (parallelization never changes a single h-degree); and a full h-LB+UB
 decomposition via ``executor="process"`` whose core numbers match the
-serial run.  The speedup column depends on your machine: with one core, or
-under the *thread* executor on any CPython build (the GIL serializes the
-workers), expect ~1x or below; the *process* executor approaches the core
-count once the graph is large enough to amortize dispatch — on a 4-core
-box the final pass typically lands between 2x and 3.5x.
+serial run.  The speedup column depends on your machine: the *thread*
+executor runs the serial kernel on this interpreted CSR engine (threads
+fan out only on the GIL-free native engine), so expect ~1x; the *process*
+executor approaches the core count once the graph is large enough to
+amortize dispatch — on a 4-core box the final pass typically lands between
+2x and 3.5x (with one core, expect ~1x or below).
 """
 
 import os

@@ -102,12 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=None,
                         help="workers for the bulk h-degree passes "
                              "(default: 1)")
-    parser.add_argument("--executor", default="thread",
+    parser.add_argument("--executor", default="serial",
                         choices=("serial", "thread", "process"),
-                        help="scheduler for the bulk h-degree passes: "
-                             "serial, thread (GIL-bound), or process "
+                        help="scheduler for the bulk h-degree passes when "
+                             "--workers > 1: serial (default), process "
                              "(shared-memory multiprocessing; scales with "
-                             "real cores)")
+                             "real cores), or thread (parallel only on the "
+                             "native engine, serial elsewhere)")
     parser.add_argument("--output", help="write 'vertex core' lines to this file")
     parser.add_argument("--summary", action="store_true",
                         help="print only aggregate statistics")
@@ -180,9 +181,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "while the graph is unmodified")
     parser.add_argument("--workers", type=int, default=None,
                         help="workers for full-recompute bulk passes")
-    parser.add_argument("--executor", default="thread",
+    parser.add_argument("--executor", default="serial",
                         choices=("serial", "thread", "process"),
-                        help="scheduler for full-recompute bulk passes")
+                        help="scheduler for full-recompute bulk passes "
+                             "(default: serial)")
     parser.add_argument("--request-deadline", type=float, default=None,
                         help="per-request wall-clock budget in seconds; "
                              "slow reads get 408, slow handlers 503, both "

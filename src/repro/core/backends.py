@@ -21,11 +21,14 @@ which is what guarantees both backends produce identical core numbers.
 
 The bulk h-degree pass additionally selects an *executor* (``"serial"``,
 ``"thread"`` or ``"process"`` — see :data:`repro.core.parallel.EXECUTORS`).
-The process executor is the only one that scales on CPython; on the CSR
-engine it runs through the shared-memory subsystem (:mod:`repro.parallel`):
-the flat arrays are exported once per snapshot generation, a persistent
-worker pool attaches to the block, and :meth:`CSREngine.refresh` re-exports
-with a bumped generation so workers never traverse a stale topology.
+A pass runs inline unless the caller asks for more than one worker and the
+engine can use them.  ``"process"`` runs on the shared-memory subsystem
+(:mod:`repro.parallel`): the flat arrays are exported once per snapshot
+generation, a persistent supervised worker pool attaches to the block, and
+:meth:`CSREngine.refresh` re-exports with a bumped generation so workers
+never traverse a stale topology.  ``"thread"`` fans out only on the native
+engine, whose compiled kernels release the GIL; the interpreted engines
+hold it, so they run a thread request serially.
 Engines that spun up a process pool own it — call :meth:`CSREngine.close`
 (the facade does this for engines it resolved itself) to shut the pool down
 and unlink the shared block; a GC finalizer backstops forgotten engines.
@@ -211,17 +214,16 @@ class DictEngine:
 
     def bulk_h_degrees(self, h: int, targets=None, alive=None,
                        counters: Counters = NULL_COUNTERS,
-                       executor: str = "thread",
+                       executor: str = "serial",
                        num_workers: Optional[int] = None) -> Dict[Vertex, int]:
-        """h-degree of every target vertex, optionally across a worker pool.
+        """h-degree of every target vertex.
 
-        One dict-of-sets BFS kernel serves the serial and thread
-        executors through :func:`~repro.core.parallel.map_batches`; each
-        batch records into a private :class:`Counters`, merged at the end.  ``executor="process"`` needs flat arrays to share, so
-        it promotes to a cached :class:`CSREngine` delegate — built once,
-        refreshed when the graph moves, and reused (with its worker pool)
-        across this engine's bulk passes instead of paying a pool spin-up
-        per pass.
+        The dict-of-sets BFS holds the GIL, so the serial and thread
+        executors both run the kernel inline.  ``executor="process"`` with
+        more than one worker needs flat arrays to share, so it promotes to a
+        cached :class:`CSREngine` delegate — built once, refreshed when the
+        graph moves, and reused (with its worker pool) across this engine's
+        bulk passes instead of paying a pool spin-up per pass.
         """
         _validate_executor(executor)
         workers = 1 if num_workers is None else num_workers
@@ -247,19 +249,12 @@ class DictEngine:
         if targets is None:
             targets = alive if alive is not None else self.graph.vertices()
         graph = self.graph
-
-        def worker(batch, local: Counters) -> Dict[Vertex, int]:
-            out: Dict[Vertex, int] = {}
-            for v in batch:
-                out[v] = _dict_h_degree(graph, v, h, alive=alive,
-                                        counters=local)
-                local.count_hdegree()
-            return out
-
-        # One worker (or executor="serial") runs the batch inline.
-        return map_batches(list(targets),
-                           1 if executor == "serial" else workers,
-                           worker, counters)
+        result: Dict[Vertex, int] = {}
+        for v in targets:
+            result[v] = _dict_h_degree(graph, v, h, alive=alive,
+                                       counters=counters)
+            counters.count_hdegree()
+        return result
 
 
 class CSREngine:
@@ -469,35 +464,30 @@ class CSREngine:
     def bulk_h_degrees(self, h: int, targets=None,
                        alive: Optional[AliveMask] = None,
                        counters: Counters = NULL_COUNTERS,
-                       executor: str = "thread",
+                       executor: str = "serial",
                        num_workers: Optional[int] = None) -> Dict[int, int]:
         """h-degree of every target index, optionally across a worker pool.
 
-        ``executor`` selects the scheduler (see
-        :data:`repro.core.parallel.EXECUTORS`).  The thread path mirrors
-        :meth:`DictEngine.bulk_h_degrees`: each worker owns a
-        private :class:`ArrayBFS` scratch (the shared one is not
-        thread-safe) and a private :class:`Counters`, merged at the end.
-        The process path exports the CSR arrays into shared memory once per
-        snapshot generation and fans degree-weighted chunks out to a
-        persistent, always-supervised worker pool (:mod:`repro.parallel`,
-        :mod:`repro.resilience`) — the only executor that scales on CPython.
-
-        The dispatch (executor validation, worker default, target
-        defaulting, degree-weighted process fan-out) lives here exactly
-        once; the serial and per-thread *kernels* are the
-        :meth:`_bulk_serial` / :meth:`_bulk_worker_batch` hooks the
-        vectorized subclass overrides, and ``engine_kind=self.name`` rides
-        the shared-memory task descriptors so workers run the matching
-        kernel.
+        The single dispatch of every CSR-family engine.  A pass runs inline
+        (:meth:`_bulk_serial`) unless the caller asks for more than one
+        worker.  ``executor="process"`` exports the CSR arrays into shared
+        memory once per snapshot generation and fans degree-weighted chunks
+        out to a persistent, always-supervised worker pool
+        (:mod:`repro.parallel`, :mod:`repro.resilience`);
+        ``engine_kind=self.name`` rides the task descriptors so workers run
+        the matching kernel.  ``executor="thread"`` goes to the
+        :meth:`_bulk_threads` hook, which fans out only where the kernels
+        release the GIL (:class:`NativeEngine`).
         """
         _validate_executor(executor)
         workers = 1 if num_workers is None else num_workers
         if targets is None:
             targets = alive if alive is not None else range(self.csr.num_vertices)
         indices = list(targets)
+        if workers <= 1 or len(indices) < 2 or executor == "serial":
+            return self._bulk_serial(indices, h, alive, counters)
 
-        if executor == "process" and workers > 1 and len(indices) >= 2:
+        if executor == "process":
             indptr = self.csr.indptr
             weights = [indptr[i + 1] - indptr[i] for i in indices]
             pool = self._process_pool(workers)
@@ -506,30 +496,13 @@ class CSREngine:
                                            counters=counters, weights=weights,
                                            engine_kind=self.name)
             except (WorkerPoolError, DeadlineExceededError):
-                # First rung of the degradation ladder: the supervised pool
-                # exhausted its retry/rebuild budget, so finish this pass
-                # on threads.
+                # Degradation ladder: the supervised pool exhausted its
+                # retry/rebuild budget, so finish this pass on the thread
+                # path (inline on the GIL-bound engines).
                 self.resilience.record_downgrade("process", "thread")
                 if counters is not NULL_COUNTERS:
                     counters.bump("resilience.downgrades")
-                executor = "thread"
-
-        if workers <= 1 or len(indices) < 2 or executor == "serial":
-            return self._bulk_serial(indices, h, alive, counters)
-
-        def worker(batch, local: Counters) -> Dict[int, int]:
-            return self._bulk_worker_batch(batch, h, alive, local)
-
-        try:
-            return map_batches(indices, workers, worker, counters)
-        except RuntimeError:
-            # Last rung: thread creation failed (resource exhaustion).  The
-            # serial kernel needs no scheduler at all, so the pass still
-            # completes.
-            self.resilience.record_downgrade("thread", "serial")
-            if counters is not NULL_COUNTERS:
-                counters.bump("resilience.downgrades")
-            return self._bulk_serial(indices, h, alive, counters)
+        return self._bulk_threads(indices, h, alive, counters, workers)
 
     def _bulk_serial(self, indices: List[int], h: int,
                      alive: Optional[AliveMask],
@@ -542,21 +515,16 @@ class CSREngine:
             counters.count_hdegree()
         return result
 
-    def _bulk_worker_batch(self, batch: List[int], h: int,
-                           alive: Optional[AliveMask],
-                           local: Counters) -> Dict[int, int]:
-        """Thread-pool bulk kernel for one batch.
+    def _bulk_threads(self, indices: List[int], h: int,
+                      alive: Optional[AliveMask], counters: Counters,
+                      workers: int) -> Dict[int, int]:
+        """Thread-executor hook: the serial kernel on GIL-bound engines.
 
-        Private scratch per worker: ArrayBFS state is not thread-safe.
-        The shared mask is installed without hooking — workers only read
-        it, so sentinel upkeep stays with the engine's scratch.
+        Threads cannot run interpreted BFS in parallel, so a thread pool
+        would only add scheduling cost; :class:`NativeEngine` overrides
+        this with a real fan-out.
         """
-        scratch = ArrayBFS(self.csr)
-        out: Dict[int, int] = {}
-        for i in batch:
-            out[i] = scratch.run(i, h, alive, local, hook=False)
-            local.count_hdegree()
-        return out
+        return self._bulk_serial(indices, h, alive, counters)
 
 
 class NumpyEngine(CSREngine):
@@ -567,8 +535,8 @@ class NumpyEngine(CSREngine):
     :class:`CSREngine` — the subclass overrides only the kernel hooks: the
     per-vertex BFS scratch becomes a
     :class:`~repro.traversal.numpy_bfs.NumpyBFS` (level-synchronous
-    frontier gathers over flat ndarrays), and the serial/thread bulk leaves
-    run its many-sources kernels, expanding whole blocks of BFS sources per
+    frontier gathers over flat ndarrays), and the serial bulk kernel runs
+    its many-sources kernels, expanding whole blocks of BFS sources per
     NumPy dispatch.  Traversal orders, removal orders and counter totals
     are identical to the CSR engine; only the constant factors differ.
 
@@ -598,19 +566,6 @@ class NumpyEngine(CSREngine):
         counters.count_hdegrees(len(indices))
         return dict(zip(indices, degrees.tolist()))
 
-    def _bulk_worker_batch(self, batch: List[int], h: int,
-                           alive: Optional[AliveMask],
-                           local: Counters) -> Dict[int, int]:
-        """Thread-pool bulk kernel: a private cloned scratch per batch.
-
-        The block stamp array is not thread-safe; the CSR ndarrays
-        themselves are shared read-only.
-        """
-        scratch = self._scratch.clone()
-        degrees = scratch.bulk(batch, h, alive, local)
-        local.count_hdegrees(len(batch))
-        return dict(zip(batch, degrees.tolist()))
-
 
 class NativeEngine(CSREngine):
     """Compiled engine: the CSR snapshot traversed by Numba-JIT kernels.
@@ -623,10 +578,11 @@ class NativeEngine(CSREngine):
     (traversal orders, removal orders, counter totals) are bit-identical to
     every other engine; what changes is the constant factor — the whole
     BFS compiles to machine code — and the concurrency story: because the
-    kernels release the GIL, ``executor="thread"`` bulk passes fan
-    :func:`~repro.core.parallel.chunk_plan` batches out over threads that
-    genuinely run in parallel on the *shared* snapshot, with none of the
-    process pool's export cost.
+    kernels release the GIL, it is the one engine whose
+    ``executor="thread"`` bulk passes fan
+    :func:`~repro.core.parallel.chunk_plan` batches out over threads (its
+    :meth:`_bulk_threads` override) that genuinely run in parallel on the
+    *shared* snapshot, with none of the process pool's export cost.
 
     Requires the optional Numba extra (``pip install
     'kh-core-repro[native]'``); :func:`resolve_engine` raises a clear error
@@ -658,6 +614,23 @@ class NativeEngine(CSREngine):
         counters.count_hdegrees(len(indices))
         return dict(zip(indices, degrees.tolist()))
 
+    def _bulk_threads(self, indices: List[int], h: int,
+                      alive: Optional[AliveMask], counters: Counters,
+                      workers: int) -> Dict[int, int]:
+        """Thread fan-out: the compiled kernels run without the GIL."""
+        def worker(batch, local: Counters) -> Dict[int, int]:
+            return self._bulk_worker_batch(batch, h, alive, local)
+
+        try:
+            return map_batches(indices, workers, worker, counters)
+        except RuntimeError:
+            # Thread creation failed (resource exhaustion).  The serial
+            # kernel needs no scheduler at all, so the pass still completes.
+            self.resilience.record_downgrade("thread", "serial")
+            if counters is not NULL_COUNTERS:
+                counters.bump("resilience.downgrades")
+            return self._bulk_serial(indices, h, alive, counters)
+
     def _bulk_worker_batch(self, batch: List[int], h: int,
                            alive: Optional[AliveMask],
                            local: Counters) -> Dict[int, int]:
@@ -665,7 +638,7 @@ class NativeEngine(CSREngine):
 
         The scratch's stamp/queue buffers are per-thread; the CSR ndarrays
         are shared read-only — and the kernel drops the GIL for the whole
-        batch, which is what makes this executor finally scale.
+        batch, which is what makes this executor scale.
         """
         scratch = self._scratch.clone()
         degrees = scratch.bulk(batch, h, alive, local)

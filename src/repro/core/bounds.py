@@ -21,6 +21,11 @@ on whichever backend the caller selected) and a public label-space wrapper
 with the historical ``graph``-first signature (used by tests and the
 bound-quality experiments).  For the dict engine handles *are* the vertex
 labels, so the wrappers delegate without any translation cost.
+
+The bulk h-degree passes of UB and ImproveLB take ``executor`` /
+``num_workers`` and run inline unless more than one worker is asked for
+(see :data:`repro.core.parallel.EXECUTORS`: ``"process"`` uses the
+supervised process pool, ``"thread"`` fans out only on the native engine).
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ def engine_upper_bound(engine: Engine, h: int,
                        initial_h_degrees: Optional[Dict[Handle, int]] = None,
                        counters: Counters = NULL_COUNTERS,
                        num_workers: Optional[int] = None,
-                       executor: str = "thread",
+                       executor: str = "serial",
                        peel: str = "auto") -> Dict[Handle, int]:
     """``UB(v)`` per handle: classic core index in the implicit h-power graph."""
     _validate_h(h)
@@ -213,7 +218,7 @@ def upper_bound(graph: Graph, h: int,
                 initial_h_degrees: Optional[Dict[Vertex, int]] = None,
                 counters: Counters = NULL_COUNTERS,
                 num_workers: Optional[int] = None,
-                executor: str = "thread") -> Dict[Vertex, int]:
+                executor: str = "serial") -> Dict[Vertex, int]:
     """Return ``UB(v)``: the classic core index of ``v`` in the h-power graph.
 
     Implements Algorithm 5.  The power graph is kept implicit: when a vertex
@@ -228,6 +233,8 @@ def upper_bound(graph: Graph, h: int,
     initial_h_degrees:
         Optional precomputed ``deg^h_G(v)`` map; when the caller (h-LB+UB)
         already computed it, passing it here avoids a second full pass.
+    num_workers / executor:
+        Scheduling of the seeding bulk pass (default: inline).
     """
     return engine_upper_bound(DictEngine(graph), h,
                               initial_h_degrees=initial_h_degrees,
@@ -242,7 +249,7 @@ def engine_improve_lb(engine: Engine, h: int, candidate: Iterable[Handle],
                       k: int,
                       counters: Counters = NULL_COUNTERS,
                       num_workers: Optional[int] = None,
-                      executor: str = "thread"):
+                      executor: str = "serial"):
     """Clean ``candidate`` = V[k]; return ``(alive set, min h-degree)``.
 
     The returned alive set uses the engine's native alive type (a Python
@@ -276,7 +283,7 @@ def engine_improve_lb(engine: Engine, h: int, candidate: Iterable[Handle],
 def improve_lb(graph: Graph, h: int, candidate: Set[Vertex], k: int,
                counters: Counters = NULL_COUNTERS,
                num_workers: Optional[int] = None,
-               executor: str = "thread") -> Tuple[Set[Vertex], int]:
+               executor: str = "serial") -> Tuple[Set[Vertex], int]:
     """Clean ``candidate`` = V[k] and return ``(surviving vertices, min h-degree)``.
 
     Implements Algorithm 6.  The minimum h-degree over the candidate set is a

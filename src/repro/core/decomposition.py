@@ -59,7 +59,7 @@ def core_decomposition(graph: Graph, h: int,
                        partition_size: int = 1,
                        counters: Optional[Counters] = None,
                        backend: Union[str, Engine] = "auto",
-                       executor: str = "thread",
+                       executor: str = "serial",
                        num_workers: Optional[int] = None,
                        context: Optional[ExecutionContext] = None
                        ) -> CoreDecomposition:
@@ -79,15 +79,18 @@ def core_decomposition(graph: Graph, h: int,
     partition_size:
         Parameter ``S`` of h-LB+UB (ignored by the other algorithms).
     num_workers:
-        Worker count for the bulk h-degree computations (§4.6; default 1).
+        Worker count for the bulk h-degree computations (§4.6; default 1;
+        values below 1 raise :class:`~repro.errors.ParameterError`).
     counters:
         Optional instrumentation sink filled with visit/recompute counts.
     executor:
-        Scheduler for the bulk h-degree passes: ``"serial"``, ``"thread"``
-        (the legacy pool — correct, but GIL-bound on CPython) or
-        ``"process"`` (shared-memory multiprocessing over CSR arrays, the
-        path that actually scales; see :mod:`repro.parallel`).  All
-        executors produce identical core numbers.
+        Scheduler for the bulk h-degree passes when ``num_workers > 1``:
+        ``"serial"`` (the default; inline), ``"process"`` (the supervised
+        shared-memory process pool over CSR arrays; see
+        :mod:`repro.parallel`) or ``"thread"`` (a thread fan-out on the
+        native engine, whose kernels release the GIL; the interpreted
+        engines run it serially).  All executors produce identical core
+        numbers.
     backend:
         Graph backend for the generalized algorithms: ``"dict"`` (the
         reference dict-of-sets representation), ``"csr"`` (flat-array CSR
@@ -162,7 +165,7 @@ def core_decomposition_with_report(graph: Graph, h: int,
                                    dataset_name: str = "graph",
                                    partition_size: int = 1,
                                    backend: Union[str, Engine] = "auto",
-                                   executor: str = "thread",
+                                   executor: str = "serial",
                                    num_workers: Optional[int] = None,
                                    context: Optional[ExecutionContext] = None
                                    ) -> RunReport:

@@ -26,7 +26,7 @@ from repro.runtime.context import ExecutionContext, scoped_context
 def h_bz(graph: Graph, h: int,
          counters: Counters = NULL_COUNTERS,
          backend: Union[str, Engine] = "dict",
-         executor: str = "thread",
+         executor: str = "serial",
          num_workers: Optional[int] = None,
          context: Optional[ExecutionContext] = None) -> CoreDecomposition:
     """Compute the (k,h)-core decomposition with the baseline h-BZ algorithm.
@@ -47,10 +47,10 @@ def h_bz(graph: Graph, h: int,
         ``"dict"`` (reference), ``"csr"`` (array backend), ``"auto"``, or a
         pre-built engine.  Both backends produce identical core numbers.
     executor:
-        Scheduler for the initial bulk pass: ``"serial"``, ``"thread"``
-        (GIL-bound) or ``"process"`` (shared-memory worker pool — the only
-        one that scales on CPython).  All executors produce identical core
-        numbers.
+        Scheduler for the initial bulk pass: ``"serial"`` (the default),
+        ``"process"`` (supervised shared-memory worker pool) or ``"thread"``
+        (fans out only on the native engine; serial elsewhere).  All
+        executors produce identical core numbers.
     context:
         Optional pre-built :class:`~repro.runtime.ExecutionContext`; when
         given it supersedes the keywords above and is **not** closed here.

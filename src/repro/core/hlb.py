@@ -25,7 +25,7 @@ def h_lb(graph: Graph, h: int,
          counters: Counters = NULL_COUNTERS,
          use_lb1_only: bool = False,
          backend: Union[str, Engine] = "dict",
-         executor: str = "thread",
+         executor: str = "serial",
          num_workers: Optional[int] = None,
          context: Optional[ExecutionContext] = None) -> CoreDecomposition:
     """Compute the (k,h)-core decomposition with the h-LB algorithm.
@@ -42,9 +42,10 @@ def h_lb(graph: Graph, h: int,
         Workers for the initial bound computation (kept for API symmetry; the
         LB1/LB2 pass is cheap compared to the peeling).
     executor:
-        Scheduler name, kept for API symmetry with h-BZ and h-LB+UB (h-LB
-        has no bulk h-degree pass: LB1 for h in {2, 3} is the plain degree
-        and the peeling itself is inherently sequential).
+        Scheduler name (default ``"serial"``), kept for API symmetry with
+        h-BZ and h-LB+UB (h-LB has no bulk h-degree pass: LB1 for h in
+        {2, 3} is the plain degree and the peeling itself is inherently
+        sequential).
     use_lb1_only:
         If True, bucket vertices by LB1 instead of LB2.  This reproduces the
         "LB1" column of the paper's bound-ablation experiment (Table 5); the

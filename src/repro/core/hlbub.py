@@ -76,7 +76,7 @@ def h_lb_ub(graph: Graph, h: int,
             use_hdegree_as_upper_bound: bool = False,
             precomputed_upper_bound: Optional[Dict[Vertex, int]] = None,
             backend: Union[str, Engine] = "dict",
-            executor: str = "thread",
+            executor: str = "serial",
             num_workers: Optional[int] = None,
             context: Optional[ExecutionContext] = None) -> CoreDecomposition:
     """Compute the (k,h)-core decomposition with the h-LB+UB algorithm.
@@ -98,9 +98,9 @@ def h_lb_ub(graph: Graph, h: int,
     executor:
         Scheduler for the bulk h-degree passes (the initial pass, the upper
         bound's seeding pass, and each partition's ``ImproveLB`` pass):
-        ``"serial"``, ``"thread"`` (GIL-bound) or ``"process"``
-        (shared-memory worker pool).  All executors produce identical core
-        numbers.
+        ``"serial"`` (the default), ``"process"`` (supervised shared-memory
+        worker pool) or ``"thread"`` (fans out only on the native engine;
+        serial elsewhere).  All executors produce identical core numbers.
     use_hdegree_as_upper_bound:
         If True, use the plain h-degree as the upper bound instead of the
         power-graph core index.  Reproduces the "h-degree" column of the

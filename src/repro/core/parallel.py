@@ -2,23 +2,25 @@
 
 The paper parallelizes the bulk h-degree computations — the initial h-degree
 pass and the per-removal neighbor updates — by handing disjoint batches of
-h-bounded BFS traversals to a pool of workers.  This module is the
-scheduler-agnostic dispatch for that fan-out:
+h-bounded BFS traversals to a pool of workers.  Every bulk pass follows one
+rule: it runs inline unless the caller asks for more than one worker and the
+engine can use them.
 
-* ``executor="serial"`` — one inline batch (the reference path).
-* ``executor="thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`.
-  On CPython the GIL serializes pure-Python BFS, so this path is correct but
-  does not scale; it exists for the paper-faithful structure and for
-  workloads that release the GIL.
-* ``executor="process"`` — real cores.  The hot path
-  (:meth:`repro.core.backends.CSREngine.bulk_h_degrees`) routes through the
-  shared-memory engine in :mod:`repro.parallel` (CSR arrays exported once,
-  persistent worker pool, no graph pickling per task).
+* ``executor="serial"`` (the default) — one inline batch.
+* ``executor="process"`` — real cores.  The pass runs on the supervised
+  shared-memory process pool (:mod:`repro.parallel`, CSR arrays exported
+  once, no graph pickling per task) through
+  :meth:`repro.core.backends.CSREngine.bulk_h_degrees`.
+* ``executor="thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`
+  fan-out (:func:`map_batches`), used only by the ``native`` engine, whose
+  compiled kernels release the GIL.  On the interpreted engines (dict, csr,
+  numpy) the GIL serializes the workers, so a thread request runs the
+  serial kernel.
 
 Chunking is exact and optionally weight-balanced (:func:`chunk_plan`): with
 per-item weights (typically vertex degrees) chunks are packed
 largest-first onto the currently lightest chunk, which keeps skewed degree
-distributions from serializing the pass behind one heavy chunk.
+distributions from serializing a process-pool pass behind one heavy chunk.
 """
 
 from __future__ import annotations
@@ -101,8 +103,7 @@ def chunk_plan(items: Sequence, num_chunks: int,
 
 
 def map_batches(targets: Sequence, num_workers: int, worker,
-                counters: Counters = NULL_COUNTERS,
-                weights: Optional[Sequence[int]] = None) -> Dict:
+                counters: Counters = NULL_COUNTERS) -> Dict:
     """Fan ``targets`` out over a thread pool and merge the per-batch dicts.
 
     ``worker(batch, local_counters)`` must return a dict for its batch and
@@ -112,13 +113,11 @@ def map_batches(targets: Sequence, num_workers: int, worker,
     ``num_workers <= 1`` (or fewer than two targets) the whole target list
     runs inline as one batch.
 
-    This is the thread fan-out of the engines' ``bulk_h_degrees``; the
-    process executor never comes through here — it runs on the
-    shared-memory pool (:class:`repro.parallel.SharedMemoryExecutor`),
-    which avoids pickling the graph per batch.
-
-    ``weights`` (optional, one per target) activates balanced chunking for
-    skewed workloads — see :func:`chunk_plan`.
+    This is the thread fan-out of the native engine's ``bulk_h_degrees``
+    (its kernels release the GIL); the process executor never comes through
+    here — it runs on the shared-memory pool
+    (:class:`repro.parallel.SharedMemoryExecutor`), which avoids pickling
+    the graph per batch.
     """
     if num_workers <= 1 or len(targets) < 2:
         local = Counters()
@@ -127,7 +126,7 @@ def map_batches(targets: Sequence, num_workers: int, worker,
             counters.merge(local)
         return merged
 
-    batches = chunk_plan(targets, num_workers, weights=weights)
+    batches = chunk_plan(targets, num_workers)
     merged = {}
     local_counters = [Counters() for _ in batches]
     with ThreadPoolExecutor(max_workers=num_workers) as pool:
@@ -148,19 +147,19 @@ def compute_h_degrees(graph: Graph, h: int,
                       alive: Optional[Set[Vertex]] = None,
                       counters: Counters = NULL_COUNTERS,
                       backend: object = "dict",
-                      executor: str = "thread",
+                      executor: str = "serial",
                       num_workers: Optional[int] = None) -> Dict[Vertex, int]:
     """Compute the h-degree of every vertex in ``vertices`` (default: all alive).
 
-    A label-space wrapper around one ``bulk_h_degrees`` call on the engine
-    ``backend`` resolves to (see :func:`repro.core.backends.resolve_engine`):
+    A label-space wrapper around one bulk pass of an
+    :class:`~repro.runtime.ExecutionContext` over ``backend``:
     ``vertices`` / ``alive`` are translated to engine handles and the result
     is keyed by the original vertices.  With ``num_workers > 1`` the
     per-vertex h-bounded BFS traversals are distributed over the selected
-    ``executor`` (see :data:`EXECUTORS`); each worker accumulates into a
-    private counter object that is merged into ``counters`` once all
-    workers finish, so the reported totals are identical to the sequential
-    run.
+    ``executor`` where the engine can use them (see :data:`EXECUTORS`);
+    each worker accumulates into a private counter object that is merged
+    into ``counters`` once all workers finish, so the reported totals are
+    identical to the sequential run.
 
     ``executor="process"`` always runs on a CSR snapshot (the dict engine
     promotes to one; any hashable vertex type works).  An engine resolved
@@ -169,20 +168,17 @@ def compute_h_degrees(graph: Graph, h: int,
     callers with repeated bulk passes should pass a pre-built engine as
     ``backend`` to amortize it.
     """
-    # Imported lazily: backends imports this module at load time.
-    from repro.core.backends import resolve_engine
+    # Imported lazily: the runtime resolves engines from repro.core.backends,
+    # which imports this module at load time.
+    from repro.runtime.context import ExecutionContext
 
-    engine = resolve_engine(graph, backend)
-    try:
+    with ExecutionContext(graph, backend=backend, executor=executor,
+                          num_workers=num_workers,
+                          counters=counters) as context:
+        engine = context.engine
         targets = None if vertices is None else \
             [engine.handle_of(v) for v in vertices]
         alive_set = None if alive is None else \
             engine.alive_subset(engine.handle_of(v) for v in alive)
-        degrees = engine.bulk_h_degrees(h, targets=targets, alive=alive_set,
-                                        num_workers=num_workers,
-                                        counters=counters,
-                                        executor=executor)
+        degrees = context.bulk_h_degrees(h, targets=targets, alive=alive_set)
         return engine.to_labels(degrees)
-    finally:
-        if isinstance(backend, str):
-            engine.close()

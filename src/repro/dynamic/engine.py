@@ -139,7 +139,7 @@ class DynamicKHCore:
                  max_expansions: int = DEFAULT_MAX_EXPANSIONS,
                  partition_size: int = 1,
                  counters: Optional[Counters] = None,
-                 executor: str = "thread",
+                 executor: str = "serial",
                  num_workers: Optional[int] = None,
                  relabel: Optional[str] = None,
                  storage: str = "auto",

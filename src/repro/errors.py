@@ -114,8 +114,8 @@ class WorkerPoolError(ResilienceError):
     Raised by :class:`~repro.resilience.supervisor.SupervisedExecutor` when a
     dispatch cannot be completed within the configured
     :class:`~repro.resilience.policies.RetryPolicy` — the signal for the
-    engine's degradation ladder to fall back to the thread (then serial)
-    executor instead of failing the decomposition.
+    engine's degradation ladder to finish the pass on the thread path
+    (inline on the GIL-bound engines) instead of failing the decomposition.
     """
 
 

@@ -17,8 +17,9 @@ revisions ran this series on a thread pool, where the GIL capped every
 configuration at ~1x — the reported "scaling" was pure overhead.  The
 ``process`` executor (shared-memory CSR arrays, persistent worker pool — see
 :mod:`repro.parallel`) is the configuration that reports real multi-core
-speedups; the thread rows are kept as the GIL baseline the paper's
-reproduction has to live with on CPython.
+speedups.  The thread executor fans out only on the native engine, whose
+kernels release the GIL; on the interpreted engines its rows run the serial
+kernel.
 """
 
 from __future__ import annotations

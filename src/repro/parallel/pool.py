@@ -22,6 +22,12 @@ labor:
   teardown before the exception propagates, and a :mod:`weakref` finalizer
   backstops interpreter exit, so ``/dev/shm`` segments are never leaked.
 
+Engines always dispatch through the subclass
+:class:`~repro.resilience.supervisor.SupervisedExecutor`, which inherits
+this lifecycle and overrides only :meth:`bulk_h_degrees` with retries, pool
+rebuilds and deadlines.  The raw method here is the fault-free baseline the
+supervision overhead is measured against.
+
 ``fork`` (the platform default on Linux) and ``spawn`` start methods both
 work and produce identical results; ``spawn`` pays a per-worker interpreter
 start-up plus re-import, ``fork`` only a copy-on-write fork.
@@ -185,8 +191,8 @@ class SharedMemoryExecutor:
         """Export ``csr`` and write the alive region; return dispatch state.
 
         Returns ``(layout, use_alive, alive_stamp)`` — everything a task
-        descriptor needs.  Factored out of :meth:`bulk_h_degrees` so a
-        supervising wrapper can drive submission and retry itself.
+        descriptor needs.  Factored out of :meth:`bulk_h_degrees` so the
+        supervising subclass can drive submission and retry itself.
         """
         self.ensure_export(csr)
         export = self._state["export"]

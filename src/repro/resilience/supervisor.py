@@ -1,8 +1,10 @@
-"""Supervised wrapper around the shared-memory process pool.
+"""Supervised shared-memory process pool.
 
-:class:`SupervisedExecutor` presents the exact
-:meth:`~repro.parallel.pool.SharedMemoryExecutor.bulk_h_degrees` surface the
-engines already call, but survives the failures the raw pool cannot:
+:class:`SupervisedExecutor` subclasses
+:class:`~repro.parallel.pool.SharedMemoryExecutor` — it inherits the pool
+and export lifecycle and overrides only
+:meth:`~repro.parallel.pool.SharedMemoryExecutor.bulk_h_degrees`, the
+surface the engines call — and survives the failures the raw pool cannot:
 
 * a **transient worker exception** (an ``OSError`` such as a lost
   shared-memory attach race, or an injected fault) re-dispatches just that
@@ -20,8 +22,9 @@ engines already call, but survives the failures the raw pool cannot:
 When the budgets are exhausted the dispatch raises
 :class:`~repro.errors.WorkerPoolError` (or
 :class:`~repro.errors.DeadlineExceededError` when deadlines were the cause),
-which the engine's degradation ladder catches to fall back to the thread and
-finally the serial executor — a decomposition always completes.
+which the engine's degradation ladder catches to finish the pass on the
+thread path (inline on the GIL-bound engines) — a decomposition always
+completes.
 
 Determinism: successful chunk results are buffered and merged in chunk-plan
 order (the order the raw pool merges in), and worker counters are
@@ -58,21 +61,16 @@ from repro.resilience.policies import (
 from repro.traversal.array_bfs import AliveMask
 
 
-class SupervisedExecutor:
-    """Fault-tolerant façade over :class:`SharedMemoryExecutor`.
-
-    Drop-in: everything the engines touch (``bulk_h_degrees``, ``close``,
-    ``closed``, ``num_workers``, ``ensure_export``, ``invalidate_export``,
-    ``shm_name``) delegates to the wrapped raw executor.
-    """
+class SupervisedExecutor(SharedMemoryExecutor):
+    """Fault-tolerant :class:`SharedMemoryExecutor`: retries, pool rebuilds
+    and deadlines around the same chunk submission and export lifecycle."""
 
     def __init__(self, num_workers: int,
                  start_method: Optional[str] = None,
                  retry: Optional[RetryPolicy] = None,
                  chunk_deadline: Optional[float] = None,
                  report: Optional[ResilienceReport] = None) -> None:
-        self._inner = SharedMemoryExecutor(num_workers,
-                                           start_method=start_method)
+        super().__init__(num_workers, start_method=start_method)
         self.retry = retry if retry is not None else RetryPolicy()
         self.chunk_deadline = (
             chunk_deadline if chunk_deadline is not None
@@ -80,40 +78,6 @@ class SupervisedExecutor:
         self.report = report if report is not None else ResilienceReport()
         self._rng = random.Random(self.retry.seed)
         self._dispatch_seq = 0
-
-    # -- delegation ----------------------------------------------------- #
-    @property
-    def num_workers(self) -> int:
-        """Worker-process count of the wrapped executor."""
-        return self._inner.num_workers
-
-    @property
-    def closed(self) -> bool:
-        """True once the wrapped executor has been torn down."""
-        return self._inner.closed
-
-    @property
-    def shm_name(self) -> Optional[str]:
-        """Name of the live shared block (None before export / after close)."""
-        return self._inner.shm_name
-
-    def ensure_export(self, csr: CSRGraph) -> None:
-        """Export ``csr`` on the wrapped executor unless already live."""
-        self._inner.ensure_export(csr)
-
-    def invalidate_export(self) -> None:
-        """Unlink the wrapped executor's current export."""
-        self._inner.invalidate_export()
-
-    def close(self) -> None:
-        """Tear the wrapped executor down (idempotent, crash-safe)."""
-        self._inner.close()
-
-    def __enter__(self) -> "SupervisedExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # -- bookkeeping ---------------------------------------------------- #
     def _note(self, counters: Counters, event: str, amount: int = 1) -> None:
@@ -148,7 +112,7 @@ class SupervisedExecutor:
         """Deadline for one wait round: per-chunk budget × queue depth."""
         if self.chunk_deadline is None:
             return None
-        waves = max(1, math.ceil(queued / self._inner.num_workers))
+        waves = max(1, math.ceil(queued / self.num_workers))
         return self.chunk_deadline * waves
 
     # -- dispatch ------------------------------------------------------- #
@@ -160,8 +124,8 @@ class SupervisedExecutor:
                        engine_kind: str = "csr") -> Dict[int, int]:
         """Supervised fan-out of the bulk h-degree pass.
 
-        Same contract as the raw executor's method; see the module
-        docstring for the recovery semantics layered on top.
+        Same contract as :meth:`SharedMemoryExecutor.bulk_h_degrees`; see
+        the module docstring for the recovery semantics layered on top.
         """
         indices = list(targets)
         if not indices:
@@ -169,17 +133,17 @@ class SupervisedExecutor:
         self._dispatch_seq += 1
         scope = f"dispatch-{self._dispatch_seq}"
         try:
-            layout, use_alive, alive_stamp = self._inner.prepare(csr, alive)
+            layout, use_alive, alive_stamp = self.prepare(csr, alive)
             chunks = chunk_plan(
                 indices,
-                self._inner.num_workers * DEFAULT_OVERSUBSCRIPTION,
+                self.num_workers * DEFAULT_OVERSUBSCRIPTION,
                 weights=weights)
             results, gathered = self._run_chunks(
                 chunks, layout, h, use_alive, alive_stamp, engine_kind,
                 scope, counters)
         except BaseException:
-            # Mirror the raw executor's contract: no failure mode leaks the
-            # pool or the shm block (close() is crash-safe now).
+            # Same contract as the raw pool: no failure mode leaks the pool
+            # or the shm block.
             self.close()
             raise
         merged: Dict[int, int] = {}
@@ -205,7 +169,7 @@ class SupervisedExecutor:
             broken = False
             try:
                 for chunk_id in sorted(pending):
-                    future = self._inner.submit_chunk(
+                    future = self.submit_chunk(
                         layout, chunks[chunk_id], h, use_alive, alive_stamp,
                         engine_kind, fault=self._chunk_fault(scope))
                     futures[future] = chunk_id
@@ -241,7 +205,7 @@ class SupervisedExecutor:
                     f"process pool broke {rebuilds} times during one "
                     f"dispatch (budget: {self.retry.max_pool_rebuilds} "
                     f"rebuilds); degrading")
-            self._inner.rebuild_pool()
+            self.rebuild_pool()
             time.sleep(self.retry.delay(rebuilds, self._rng))
         gathered = Counters()
         for chunk_id in range(len(chunks)):

@@ -11,7 +11,8 @@ place:
   / ``"auto"``) or a pre-built engine; the context resolves it exactly once
   and remembers whether it owns the result.
 * **Executor + workers** — the scheduler name and worker count for the bulk
-  h-degree passes, validated once.
+  h-degree passes, validated once (a count below 1 is rejected here, so
+  every entry point built on a context rejects it).
 * **Counters** — the instrumentation sink every phase records into.
 * **Peel-state layout** — ``peel="auto"`` selects the flat-array peel state
   on the CSR engine and the dict state otherwise; benchmarks force
@@ -62,10 +63,14 @@ class ExecutionContext:
         (dict for non-``int`` vertex labels, then native, numpy or csr by
         size and installed extras).
     executor:
-        Scheduler for the bulk h-degree passes (``"serial"`` / ``"thread"``
-        / ``"process"``).
+        Scheduler for the bulk h-degree passes: ``"serial"`` (the default),
+        ``"process"`` (the supervised shared-memory process pool) or
+        ``"thread"`` (fans out only on the native engine, whose kernels
+        release the GIL; the interpreted engines run it serially).
     num_workers:
-        Worker count for the selected executor (default: 1).
+        Worker count for the selected executor (default: 1); a pass runs
+        inline unless it is above 1.  Values below 1 raise
+        :class:`~repro.errors.ParameterError`.
     counters:
         Instrumentation sink shared by every phase run under this context.
     peel:
@@ -100,7 +105,7 @@ class ExecutionContext:
     __slots__ = ("graph", "engine", "executor", "num_workers", "counters",
                  "peel", "owns_engine", "closed")
 
-    def __init__(self, graph, backend="auto", executor: str = "thread",
+    def __init__(self, graph, backend="auto", executor: str = "serial",
                  num_workers: Optional[int] = None,
                  counters: Counters = NULL_COUNTERS,
                  peel: str = "auto",
@@ -111,6 +116,8 @@ class ExecutionContext:
         from repro.core.parallel import _validate_executor
 
         _validate_executor(executor)
+        if num_workers is not None and num_workers < 1:
+            raise ParameterError("num_workers must be a positive integer")
         if peel not in PEEL_STATES:
             raise ParameterError(
                 f"unknown peel state {peel!r}; expected one of {PEEL_STATES}"
@@ -206,7 +213,7 @@ class ExecutionContext:
 
 @contextmanager
 def scoped_context(graph, context: Optional[ExecutionContext] = None,
-                   backend="auto", executor: str = "thread",
+                   backend="auto", executor: str = "serial",
                    num_workers: Optional[int] = None,
                    counters: Counters = NULL_COUNTERS,
                    peel: str = "auto",

@@ -119,7 +119,7 @@ class CoreService:
         storage: str = "auto",
         algorithm: str = "auto",
         fallback_ratio: Optional[float] = None,
-        executor: str = "thread",
+        executor: str = "serial",
         num_workers: Optional[int] = None,
         max_batch: int = DEFAULT_MAX_BATCH,
         name: str = "graph",

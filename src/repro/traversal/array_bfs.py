@@ -131,7 +131,7 @@ class ArrayBFS:
         mask bytes are always current, so rebuilding from them is safe no
         matter how many discards happened while the mask was not installed.
         With ``hook`` the mask gets a back-reference for sentinel upkeep;
-        worker threads install without hooking (they never discard).
+        pool workers install without hooking (they never discard).
         """
         previous = self._active
         if previous is not None and previous._seen is self._seen:
@@ -166,7 +166,7 @@ class ArrayBFS:
             :func:`~repro.traversal.bfs.h_bounded_bfs`.
         hook:
             Whether to keep the installed mask's sentinels in sync with
-            future ``discard`` calls.  Leave True except from worker threads
+            future ``discard`` calls.  Leave True except from pool workers
             that share the mask read-only.
 
         Returns

@@ -18,9 +18,9 @@ residuals have the same cure: compile the level loop itself.
   folding for alive masks.  No per-level Python dispatch, no boxing: the
   whole h-bounded BFS is one compiled call.
 * **``nogil=True`` makes threads real.**  The compiled kernels release the
-  GIL for their entire run, so the existing ``executor="thread"`` fan-out
-  (:func:`repro.core.parallel.map_batches` over ``chunk_plan`` batches)
-  becomes an actual parallelism path: worker threads traverse the *shared*
+  GIL for their entire run, so the native engine's ``executor="thread"``
+  fan-out (:func:`repro.core.parallel.map_batches` over ``chunk_plan``
+  batches) is an actual parallelism path: worker threads traverse the *shared*
   CSR arrays concurrently with zero export/IPC cost — the shared-memory
   process pool's win without its setup tax.
 * **``cache=True`` persists compilation.**  Compiled kernels land in the

@@ -168,8 +168,7 @@ class NumpyBFS:
     ``level_ends`` buffers the array peel kernels read directly, and the
     same :class:`AliveMask` install/discard protocol — which is what lets
     the ``numpy`` engine drive the *unchanged* peel kernels and produce
-    bit-identical removal orders.  Not thread-safe; clone per worker via
-    :meth:`clone`.
+    bit-identical removal orders.  Not thread-safe.
     """
 
     __slots__ = ("indptr", "adjacency", "num_vertices", "order", "level_ends",
@@ -204,10 +203,6 @@ class NumpyBFS:
         """
         holder = _CSRArrays(indptr, adjacency)
         return cls(holder)
-
-    def clone(self) -> "NumpyBFS":
-        """A new scratch sharing this one's CSR arrays (for worker threads)."""
-        return NumpyBFS.from_arrays(self.indptr, self.adjacency)
 
     # ------------------------------------------------------------------ #
     # single-source traversal (peel hot path)

@@ -77,7 +77,7 @@ class TestMain:
 class TestExecutorFlags:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["graph.txt"])
-        assert args.executor == "thread"
+        assert args.executor == "serial"
         assert args.workers is None
         assert not hasattr(args, "threads")
 
@@ -108,9 +108,27 @@ class TestExecutorFlags:
     def test_workers_flag_sets_thread_worker_count(self, edge_list_file,
                                                    capsys):
         exit_code = main([str(edge_list_file), "--h", "2", "--verbose",
-                          "--workers", "2"])
+                          "--workers", "2", "--executor", "thread"])
         assert exit_code == 0
         assert "# executor: thread, workers: 2" in capsys.readouterr().err
+
+    def test_demo_defaults_to_one_serial_worker(self, capsys):
+        assert main(["--demo", "--verbose"]) == 0
+        assert "# executor: serial, workers: 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_worker_count_below_one_is_a_usage_error(self, workers, capsys):
+        exit_code = main(["--demo", "--h", "2", "--workers", workers,
+                          "--executor", "process", "--verbose"])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "num_workers must be a positive integer" in err
+        assert "# executor:" not in err
+
+    def test_serve_rejects_worker_count_below_one(self, capsys):
+        assert main(["serve", "--demo", "--workers", "0"]) == 2
+        assert "num_workers must be a positive integer" in \
+            capsys.readouterr().err
 
 
 class TestVerboseBackend:

@@ -1,18 +1,17 @@
 """Executor x engine interaction battery.
 
 BENCH_PR5's engine x executor matrix exposed that the thread executor added
-nothing to the interpreted engines (every kernel held the GIL); the native
-engine exists to change that.  This battery is the *correctness* half of
-the regression guard: every (engine, executor, workers) cell must produce
+nothing to the interpreted engines (every kernel held the GIL), so a thread
+request now runs their serial kernel and only the native engine fans out.
+This battery is the *correctness* half of the regression guard: every (engine, executor, workers) cell must produce
 the same label-space h-degrees, the same decomposition, and the same merged
 counter totals as the serial reference — including the native engine on
 the thread path, where the kernels genuinely run concurrently (the GIL is
 released), making result identity a real concurrency-safety assertion
 rather than a tautology.
 
-The wall-clock half (thread no worse than serial for csr/numpy, thread
-*faster* than serial for native) lives in ``benchmarks/test_native_engine.py``
-with the other timing assertions, under the usual quick-mode/xdist guards.
+The wall-clock half (thread *faster* than serial for native) lives in
+``benchmarks/test_native_engine.py`` with the other timing assertions.
 
 The native engine runs through its interpreted-kernel lever when Numba is
 absent (identical results); everything needing ndarrays skips without NumPy.
@@ -157,3 +156,50 @@ class TestResultIdentity:
         finally:
             csr.close()
             compiled.close()
+
+
+class TestSchedulingRule:
+    """Threads fan out only on the GIL-free native kernels."""
+
+    @pytest.mark.parametrize("engine_name", ["dict", "csr", "numpy"])
+    def test_thread_request_runs_inline_on_gil_bound_engines(
+            self, engine_name, monkeypatch):
+        if engine_name == "numpy" and not numpy_available():
+            pytest.skip("NumPy not installed")
+
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a GIL-bound engine started a thread pool")
+
+        graph = _matrix_graph()
+        engine = resolve_engine(graph, engine_name)
+        try:
+            expected = engine.bulk_h_degrees(2, executor="serial")
+            monkeypatch.setattr("repro.core.parallel.ThreadPoolExecutor",
+                                no_threads)
+            got = engine.bulk_h_degrees(2, executor="thread", num_workers=4)
+        finally:
+            engine.close()
+        assert got == expected
+
+    @requires_numpy
+    def test_native_thread_request_fans_out(self, monkeypatch):
+        import repro.core.parallel as parallel
+
+        pools = []
+        real_pool = parallel.ThreadPoolExecutor
+
+        def spy(*args, **kwargs):
+            pool = real_pool(*args, **kwargs)
+            pools.append(pool)
+            return pool
+
+        graph = _matrix_graph()
+        engine = resolve_engine(graph, "native")
+        try:
+            expected = engine.bulk_h_degrees(2, executor="serial")
+            monkeypatch.setattr(parallel, "ThreadPoolExecutor", spy)
+            got = engine.bulk_h_degrees(2, executor="thread", num_workers=4)
+        finally:
+            engine.close()
+        assert len(pools) == 1
+        assert got == expected

@@ -97,12 +97,6 @@ class TestMapBatches:
         assert result == expected
         assert counters.extra["batches"] == batches
 
-    def test_weighted_dispatch(self):
-        targets = list(range(12))
-        weights = [10] + [1] * 11
-        result = map_batches(targets, 3, _square_worker, weights=weights)
-        assert result == {x: x * x for x in targets}
-
 
 class TestComputeHDegrees:
     @pytest.mark.parametrize("num_workers", [1, 2, 4])

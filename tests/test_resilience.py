@@ -181,6 +181,16 @@ def _h_degrees_serial(graph, h):
 
 
 class TestSupervisedExecutor:
+    def test_is_the_shared_memory_executor_with_its_own_dispatch(self):
+        """One pool class: the supervisor inherits the raw pool's lifecycle
+        and overrides only the dispatch, while the raw dispatch stays
+        defined on the base class (the supervision-overhead baseline)."""
+        from repro.parallel.pool import SharedMemoryExecutor
+
+        assert issubclass(SupervisedExecutor, SharedMemoryExecutor)
+        assert "bulk_h_degrees" in vars(SupervisedExecutor)
+        assert "bulk_h_degrees" in vars(SharedMemoryExecutor)
+
     def test_fault_free_dispatch_matches_serial(self):
         faults.disarm()
         graph = relaxed_caveman_graph(4, 8, 0.2, seed=5)

@@ -15,6 +15,7 @@ Covers the three contracts the runtime layer owns:
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import pytest
@@ -42,6 +43,7 @@ from repro.graph.generators import (
 )
 from repro.instrumentation import Counters
 from repro.runtime import ExecutionContext, scoped_context
+from repro.serve import CoreService
 
 
 class RecordingCSREngine(CSREngine):
@@ -207,7 +209,7 @@ class TestContextResults:
         assert report.params["backend"] == resolved_backend_name(graph,
                                                                  "auto")
         assert report.params["backend"] != "auto"
-        assert report.params["executor"] == "thread"
+        assert report.params["executor"] == "serial"
         assert report.params["num_workers"] == 1
 
 
@@ -230,6 +232,32 @@ class TestWorkerShim:
     def test_every_entry_point_rejects_num_threads(self, graph, call):
         with pytest.raises(TypeError, match="num_threads"):
             call(graph)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("call", [
+        lambda g, n: h_bz(g, 2, num_workers=n),
+        lambda g, n: h_lb(g, 2, num_workers=n),
+        lambda g, n: h_lb_ub(g, 2, num_workers=n),
+        lambda g, n: core_decomposition(g, 2, num_workers=n),
+        lambda g, n: core_decomposition_with_report(g, 2, num_workers=n),
+        lambda g, n: compute_h_degrees(g, 2, num_workers=n),
+        lambda g, n: DynamicKHCore(g.copy(), h=2, num_workers=n),
+        lambda g, n: CoreService(g.copy(), h=2, num_workers=n),
+        lambda g, n: ExecutionContext(g, executor="process", num_workers=n),
+    ], ids=["h_bz", "h_lb", "h_lb_ub", "facade", "with_report",
+            "compute_h_degrees", "dynamic", "service", "context"])
+    def test_every_entry_point_rejects_worker_count_below_one(
+            self, graph, call, workers):
+        with pytest.raises(ParameterError,
+                           match="num_workers must be a positive integer"):
+            call(graph, workers)
+
+    @pytest.mark.parametrize("owner", [core_decomposition, ExecutionContext,
+                                       DynamicKHCore, CoreService],
+                             ids=lambda owner: owner.__name__)
+    def test_default_executor_is_serial(self, owner):
+        parameter = inspect.signature(owner).parameters["executor"]
+        assert parameter.default == "serial"
 
     def test_num_workers_spelling_is_silent(self, graph):
         with warnings.catch_warnings():
